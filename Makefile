@@ -26,9 +26,11 @@ bench-smoke:
 bench-scale:
 	dune exec bench/main.exe -- --json P7
 
-# The full P8 write-throughput sweep (10^4 .. 10^6 entries): steady-state
-# single-entry transactions against a live session on chunked
-# copy-on-write index versions, next to a rebuild-per-transaction
+# The full P8 write-throughput sweep (10^4 .. 10^6 entries, plus one
+# flat unit of 10^5 persons): steady-state single-entry transactions
+# against a live session on chunked copy-on-write index versions, as
+# ops and as LDIF change text (parse_changes, then Store.apply), next to
+# the old whole-instance DN table parser and a rebuild-per-transaction
 # baseline.  Writes BENCH_write.json into the working directory.
 bench-write:
 	dune exec bench/main.exe -- --json P8

@@ -1954,22 +1954,54 @@ let exp_p7 ~smoke ~json () =
    transaction paid O(|D|) — flat-array blits for the index, a
    [Hashtbl.copy] per value table — which pinned a 10^6-entry session at
    ~1 tx/s however small the transaction.  P8 drives a live [Directory]
-   session (no durability in the loop: P4/P7 own that axis) through a
-   steady alternation of single-entry insert/delete transactions and
+   session whose commit hook encodes each transaction's log record and
+   discards it (no durability in the loop: P4/P7 own that axis) through
+   a steady alternation of single-entry insert/delete transactions and
    reports transactions per second at 10^4 .. 10^6, next to a
    rebuild-per-transaction baseline that stands in for the old O(|D|)
-   write path.  Single timed runs like P7: the sweep is the measurement. *)
+   write path.  Single timed runs like P7: the sweep is the measurement.
+
+   The [text] series feeds the same pairs to the same session the way
+   the wire and the [update] verb do: as LDIF change records through
+   [Ldif.parse_changes] (DNs resolved by a top-down forest descent)
+   before admission, so it differs from the ops-only loop by parse and
+   DN resolution and nothing else.  The [table] series is its before:
+   the same records through the whole-instance DN table the parser used
+   to rebuild per
+   request (kept as the differential reference), run for one pair only
+   since it costs O(|D|) per transaction.  A [flat] point puts every
+   person under one unit (10^5 siblings): a plain descent would compare
+   a delete's rdn with each of them, the hashed child lists do not. *)
+type p8_point = {
+  shape : string;
+  n : int;
+  txns : int;
+  elapsed : float;
+  rate : float;  (** ops tx/s *)
+  text_rate : float;  (** change-text tx/s *)
+  parse_s : float;  (** parse time per change-text transaction *)
+  table_rate : float;  (** change-text tx/s through the DN-table parser *)
+  base_rate : float;  (** rebuild-per-transaction tx/s *)
+}
+
 let exp_p8 ~smoke ~json () =
   header "P8   steady-state write throughput (chunked COW index versions)"
     "claim: with chunked copy-on-write versions (index spine + persistent\n\
      rank/value maps), a small transaction costs O(delta + touched chunks)\n\
      instead of O(|D|), so steady-state writes clear 100 tx/s at 10^6\n\
-     entries - the old flat-copy path managed ~1 tx/s.";
+     entries - the old flat-copy path managed ~1 tx/s.  Writes sent as\n\
+     LDIF change text resolve their DNs by a top-down descent over\n\
+     hashed child lists, with no O(|D|) step before admission: within\n\
+     2x of the ops-only series, at any fanout.";
   let sizes =
     if smoke then [ 1_000; 5_000 ] else [ 10_000; 100_000; 1_000_000 ]
   in
+  let flat_n = if smoke then 2_000 else 100_000 in
   let iterations = if smoke then 20 else 100 in
   let baseline_txns = 2 in
+  let table_pairs = 1 in
+  let typing = WP.schema.Schema.typing in
+  let person_classes = Oclass.set_of_list [ "person"; "top" ] in
   let find_unit base =
     Bounds_model.Instance.fold
       (fun e acc ->
@@ -1981,11 +2013,38 @@ let exp_p8 ~smoke ~json () =
   let mk_person id =
     Entry.make ~id
       ~rdn:(Printf.sprintf "uid=p8b%d" id)
-      ~classes:(Oclass.set_of_list [ "person"; "top" ])
+      ~classes:person_classes
       [
         (Attr.of_string "uid", Value.String (Printf.sprintf "p8b%d" id));
         (Attr.of_string "name", Value.String "bench");
       ]
+  in
+  (* one organization, one unit, [n] persons directly under the unit *)
+  let flat_instance n =
+    let org = Oclass.set_of_list [ "organization"; "orggroup"; "top" ] in
+    let ou = Oclass.set_of_list [ "orgunit"; "orggroup"; "top" ] in
+    let inst =
+      Bounds_model.Instance.empty
+      |> Bounds_model.Instance.add_root_exn
+           (Entry.make ~id:0 ~rdn:"o=acme" ~classes:org
+              [ (Attr.of_string "o", Value.String "acme") ])
+      |> Bounds_model.Instance.add_child_exn ~parent:0
+           (Entry.make ~id:1 ~rdn:"ou=flat" ~classes:ou
+              [ (Attr.of_string "ou", Value.String "flat") ])
+    in
+    let inst = ref inst in
+    for i = 2 to n + 1 do
+      let uid = Printf.sprintf "f%d" i in
+      inst :=
+        Bounds_model.Instance.add_child_exn ~parent:1
+          (Entry.make ~id:i ~rdn:("uid=" ^ uid) ~classes:person_classes
+             [
+               (Attr.of_string "uid", Value.String uid);
+               (Attr.of_string "name", Value.String "flat");
+             ])
+          !inst
+    done;
+    !inst
   in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -1993,12 +2052,58 @@ let exp_p8 ~smoke ~json () =
     (Unix.gettimeofday () -. t0, r)
   in
   let pp_s s = pp_time (s *. 1e9) in
-  let run_point n =
-    let units = max 1 (n / 21) in
-    let base = WP.generate ~seed:8 ~units ~persons_per_unit:20 () in
+  (* insert+delete change records for [pairs] fresh persons under [unit_dn] *)
+  let text_pairs ~tag unit_dn pairs =
+    List.init pairs (fun i ->
+        let uid = Printf.sprintf "p8%s%d" tag i in
+        [
+          Printf.sprintf
+            "dn: uid=%s,%s\nobjectClass: person\nobjectClass: top\nuid: %s\nname: bench\n"
+            uid unit_dn uid;
+          Printf.sprintf "dn: uid=%s,%s\nchangetype: delete\n" uid unit_dn;
+        ])
+    |> List.concat
+  in
+  (* apply change texts through [parse] and [Directory.apply]: elapsed
+     time and the share of it spent parsing *)
+  let run_texts dir parse texts =
+    let parse_s = ref 0. in
+    let elapsed, () =
+      time (fun () ->
+          List.iter
+            (fun text ->
+              let dt, parsed =
+                time (fun () -> parse ~typing (Directory.instance !dir) text)
+              in
+              parse_s := !parse_s +. dt;
+              match parsed with
+              | Error m -> failwith ("P8: change text: " ^ m)
+              | Ok ops -> (
+                  match Directory.apply !dir ops with
+                  | d, Admission.Accepted _ -> dir := d
+                  | _, Admission.Rejected _ -> failwith "P8: text rejected"))
+            texts)
+    in
+    (elapsed, !parse_s)
+  in
+  let run_point (shape, make) =
+    let base = make () in
     let unit = find_unit base in
+    let unit_dn = Bounds_model.Instance.dn base unit in
     let n_real = Bounds_model.Instance.size base in
-    let dir = Result.get_ok (Directory.open_ WP.schema base) in
+    (* the session's commit hook encodes each accepted transaction as its
+       log record, as [Store.apply] does, and drops it: a store proper
+       would first write an O(|D|) checkpoint, which at 10^6 stacks
+       gigabytes on this point for nothing the loop measures *)
+    let lsn = ref 0 in
+    let dir =
+      Result.get_ok
+        (Directory.open_
+           ~store:(fun ops _ ->
+             incr lsn;
+             ignore (Bounds_store.Wal.encode_record ~lsn:!lsn ops))
+           WP.schema base)
+    in
     (* isolate points from each other: without this, the timed loop at
        10^6 pays major-GC marking over the previous points' dead heap *)
     Gc.compact ();
@@ -2006,32 +2111,42 @@ let exp_p8 ~smoke ~json () =
        transactions returns the session to |D| = n, so the loop measures
        sustained write cost at size, not growth *)
     let dir = ref dir in
-    let ok what = function
-      | d, Admission.Accepted _ -> d
+    let apply what ops =
+      match Directory.apply !dir ops with
+      | d, Admission.Accepted _ -> dir := d
       | _, Admission.Rejected _ -> failwith ("P8: rejected " ^ what)
     in
     (* one warm pair outside the clock: first-touch materialization *)
-    dir := ok "warm ins" (Directory.apply !dir
-             [ Update.Insert { parent = Some unit; entry = mk_person 8_999_999 } ]);
-    dir := ok "warm del" (Directory.apply !dir [ Update.Delete 8_999_999 ]);
+    apply "warm ins" [ Update.Insert { parent = Some unit; entry = mk_person 8_999_999 } ];
+    apply "warm del" [ Update.Delete 8_999_999 ];
     let t_steady, () =
       time (fun () ->
           for i = 0 to iterations - 1 do
             let id = 8_000_000 + i in
-            dir :=
-              ok "insert"
-                (Directory.apply !dir
-                   [ Update.Insert { parent = Some unit; entry = mk_person id } ]);
-            dir := ok "delete" (Directory.apply !dir [ Update.Delete id ])
+            apply "insert" [ Update.Insert { parent = Some unit; entry = mk_person id } ];
+            apply "delete" [ Update.Delete id ]
           done)
     in
     let txns = 2 * iterations in
+    ignore (run_texts dir Bounds_codec.Ldif.parse_changes (text_pairs ~tag:"w" unit_dn 1));
+    let t_text, t_parse =
+      run_texts dir Bounds_codec.Ldif.parse_changes
+        (text_pairs ~tag:"t" unit_dn iterations)
+    in
+    let t_table, _ =
+      run_texts dir Bounds_diff.Oracle.ref_parse_changes
+        (text_pairs ~tag:"r" unit_dn table_pairs)
+    in
+    let inst = Directory.instance !dir in
+    Directory.close !dir;
     (* the old write path rebuilt/copied every O(|D|) structure per
        transaction; a fresh index + value-table build per transaction is
-       that cost, measured honestly at this size *)
+       that cost, measured honestly at this size — after the session is
+       closed, so at 10^6 the rebuilds do not stack on its index *)
+    Gc.compact ();
     let t_baseline, () =
       time (fun () ->
-          let inst = ref (Directory.instance !dir) in
+          let inst = ref inst in
           for i = 0 to baseline_txns - 1 do
             let id = 8_100_000 + i in
             let ops =
@@ -2042,38 +2157,61 @@ let exp_p8 ~smoke ~json () =
             ignore (Vindex.create ix)
           done)
     in
-    Directory.close !dir;
-    ( n_real,
-      txns,
-      t_steady,
-      float_of_int txns /. t_steady,
-      float_of_int baseline_txns /. t_baseline,
-      peak_heap_bytes () )
+    let rate k t = float_of_int k /. t in
+    {
+      shape;
+      n = n_real;
+      txns;
+      elapsed = t_steady;
+      rate = rate txns t_steady;
+      text_rate = rate txns t_text;
+      parse_s = t_parse /. float_of_int txns;
+      table_rate = rate (2 * table_pairs) t_table;
+      base_rate = rate baseline_txns t_baseline;
+    }
   in
-  let results = List.map run_point sizes in
+  let white_pages =
+    List.map
+      (fun n () -> WP.generate ~seed:8 ~units:(max 1 (n / 21)) ~persons_per_unit:20 ())
+      sizes
+  in
+  (* largest point first: the runtime keeps every heap page it ever
+     mapped, so running the small points first would add their
+     footprint to the 10^6 point's peak; reported in ascending order *)
+  let results =
+    List.rev
+      (List.map (fun make -> run_point ("white-pages", make)) (List.rev white_pages))
+    @ [ run_point ("flat", fun () -> flat_instance flat_n) ]
+  in
   Printf.printf
     "  steady-state single-entry transactions against a live session\n\
-    \  (insert+delete pairs; baseline rebuilds index+vindex per txn):\n";
-  Printf.printf "  %8s  %8s  %12s  %10s  %12s  %8s\n" "|D|" "txns" "elapsed"
-    "tx/s" "rebuild tx/s" "speedup";
+    \  (insert+delete pairs; baseline rebuilds index+vindex per txn;\n\
+    \  text = the same as LDIF change records through parse_changes,\n\
+    \  table = the same through the old whole-instance DN table):\n";
+  Printf.printf "  %-11s %8s  %8s  %12s  %9s  %9s  %9s  %9s  %10s  %8s\n" "shape" "|D|"
+    "txns" "elapsed" "tx/s" "text tx/s" "parse" "table tx/s" "rebuild/s" "speedup";
   List.iter
-    (fun (n, txns, t, rate, base_rate, _) ->
-      Printf.printf "  %8d  %8d  %s  %10.0f  %12.2f  %7.0fx\n" n txns (pp_s t)
-        rate base_rate (rate /. base_rate))
+    (fun p ->
+      Printf.printf "  %-11s %8d  %8d  %s  %9.0f  %9.0f  %s  %9.2f  %10.2f  %7.0fx\n"
+        p.shape p.n p.txns (pp_s p.elapsed) p.rate p.text_rate (pp_s p.parse_s)
+        p.table_rate p.base_rate (p.rate /. p.base_rate))
     results;
-  (match List.rev results with
-  | (n, _, _, rate, base_rate, _) :: _ ->
+  (match List.rev (List.filter (fun p -> p.shape = "white-pages") results) with
+  | { n; rate; text_rate; table_rate; base_rate; _ } :: _ ->
       Printf.printf
-        "  shape: at |D| = %d the session absorbs %.0f tx/s steady-state;\n\
-        \  the per-transaction rebuild baseline manages %.2f tx/s (%.0fx)\n"
-        n rate base_rate (rate /. base_rate)
+        "  shape: at |D| = %d the session absorbs %.0f tx/s steady-state\n\
+        \  (%.0f tx/s as change text, %.2fx of ops-only; the DN table\n\
+        \  managed %.2f tx/s); the per-transaction rebuild baseline\n\
+        \  manages %.2f tx/s (%.0fx)\n"
+        n rate text_rate (rate /. text_rate) table_rate base_rate (rate /. base_rate)
   | [] -> ());
   if json then begin
     let buf = Buffer.create 1024 in
     Buffer.add_string buf "{\n";
     Buffer.add_string buf "  \"experiment\": \"P8\",\n";
     Buffer.add_string buf
-      "  \"workload\": \"white-pages; steady insert+delete pairs\",\n";
+      "  \"workload\": \"white-pages (and one flat unit); steady insert+delete \
+       pairs as ops and as LDIF change text\",\n";
     Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
     Buffer.add_string buf
       (Printf.sprintf "  \"iterations\": %d,\n" iterations);
@@ -2081,13 +2219,18 @@ let exp_p8 ~smoke ~json () =
       (Printf.sprintf "  \"peak_heap_bytes\": %d,\n" (peak_heap_bytes ()));
     Buffer.add_string buf "  \"points\": [\n";
     List.iteri
-      (fun i (n, txns, t, rate, base_rate, heap) ->
+      (fun i p ->
         Buffer.add_string buf
           (Printf.sprintf
-             "    { \"n\": %d, \"txns\": %d, \"elapsed_s\": %.3f, \
-              \"tx_per_sec\": %.1f, \"rebuild_tx_per_sec\": %.3f, \
-              \"speedup_vs_rebuild\": %.1f, \"peak_heap_bytes\": %d }%s\n"
-             n txns t rate base_rate (rate /. base_rate) heap
+             "    { \"shape\": %S, \"n\": %d, \"txns\": %d, \"elapsed_s\": %.3f, \
+              \"tx_per_sec\": %.1f, \"text_tx_per_sec\": %.1f, \
+              \"text_parse_us\": %.1f, \"ops_over_text\": %.2f, \
+              \"table_text_tx_per_sec\": %.3f, \"text_speedup_vs_table\": %.1f, \
+              \"rebuild_tx_per_sec\": %.3f, \
+              \"speedup_vs_rebuild\": %.1f }%s\n"
+             p.shape p.n p.txns p.elapsed p.rate p.text_rate (p.parse_s *. 1e6)
+             (p.rate /. p.text_rate) p.table_rate (p.text_rate /. p.table_rate)
+             p.base_rate (p.rate /. p.base_rate)
              (if i = List.length results - 1 then "" else ",")))
       results;
     Buffer.add_string buf "  ]\n}\n";

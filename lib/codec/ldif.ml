@@ -110,13 +110,14 @@ let first_rdn d =
 
 (* The reader is one streaming pass: physical lines are folded into
    logical lines, logical lines are grouped into records, and each
-   finished record becomes one entry handed to the caller — O(record)
-   memory over the input, which is what lets a checkpoint load stream a
-   large body without materializing line or record lists. *)
-let fold_entries ?id_of ~typing f init s =
+   finished record — its [dn:] line number, the dn, and its remaining
+   (attribute, value) pairs in order — goes to [f].  O(record) memory
+   over the input, which is what lets a checkpoint load stream a large
+   body without materializing line or record lists.  Content records
+   ({!fold_entries}) and change records ({!parse_changes}) share it, so
+   both get the same folding, comments and base64. *)
+let fold_records f init s =
   let len = String.length s in
-  let by_dn = Hashtbl.create 64 in
-  let ordinal = ref 0 in
   let acc = ref init in
   (* record under assembly: dn line number, dn, pairs in reverse *)
   let rec_line = ref 0 in
@@ -126,43 +127,10 @@ let fold_entries ?id_of ~typing f init s =
     match !rec_dn with
     | None -> ()
     | Some dn ->
-        let line = !rec_line and pairs = List.rev !rec_pairs in
+        let pairs = List.rev !rec_pairs in
         rec_dn := None;
         rec_pairs := [];
-        let classes, attr_pairs =
-          List.fold_left
-            (fun (classes, pairs) (attr_raw, value_raw) ->
-              match Attr.of_string_opt attr_raw with
-              | None -> err line "invalid attribute name %S" attr_raw
-              | Some a ->
-                  if Attr.equal a Attr.object_class then
-                    match Oclass.of_string_opt value_raw with
-                    | Some c -> (Oclass.Set.add c classes, pairs)
-                    | None -> err line "invalid object class name %S" value_raw
-                  else
-                    let ty = Typing.find typing a in
-                    (match Value.parse ty value_raw with
-                    | Ok v -> (classes, (a, v) :: pairs)
-                    | Error m -> err line "attribute %s: %s" (Attr.to_string a) m))
-            (Oclass.Set.empty, []) pairs
-        in
-        if Oclass.Set.is_empty classes then
-          err line "entry %s has no objectClass" dn;
-        let id = match id_of with Some f -> f !ordinal | None -> !ordinal in
-        incr ordinal;
-        let entry = Entry.make ~id ~rdn:(first_rdn dn) ~classes (List.rev attr_pairs) in
-        let parent =
-          match parent_dn dn with
-          | None -> None
-          | Some pd -> (
-              match Hashtbl.find_opt by_dn (norm_dn pd) with
-              | Some pid -> Some pid
-              | None -> err line "parent entry %S not yet defined" pd)
-        in
-        Hashtbl.replace by_dn (norm_dn dn) id;
-        (match f ~parent entry !acc with
-        | Ok a -> acc := a
-        | Error m -> err line "%s" m)
+        acc := f ~line:!rec_line ~dn pairs !acc
   in
   let dispatch line body =
     let attr, value = split_attr_line line body in
@@ -209,12 +177,53 @@ let fold_entries ?id_of ~typing f init s =
         lines (j + 1)
     | None -> handle (String.sub s pos (len - pos))
   in
-  try
-    lines 0;
-    flush_pending ();
-    finish_record ();
-    Ok !acc
-  with Err e -> Error e
+  lines 0;
+  flush_pending ();
+  finish_record ();
+  !acc
+
+(* A record's attribute pairs as an entry: [objectClass] lines become the
+   class set, every other value is typed through [typing]. *)
+let entry_of_record ~typing ~line ~id dn pairs =
+  let classes, attr_pairs =
+    List.fold_left
+      (fun (classes, pairs) (attr_raw, value_raw) ->
+        match Attr.of_string_opt attr_raw with
+        | None -> err line "invalid attribute name %S" attr_raw
+        | Some a ->
+            if Attr.equal a Attr.object_class then
+              match Oclass.of_string_opt value_raw with
+              | Some c -> (Oclass.Set.add c classes, pairs)
+              | None -> err line "invalid object class name %S" value_raw
+            else
+              let ty = Typing.find typing a in
+              match Value.parse ty value_raw with
+              | Ok v -> (classes, (a, v) :: pairs)
+              | Error m -> err line "attribute %s: %s" (Attr.to_string a) m)
+      (Oclass.Set.empty, []) pairs
+  in
+  if Oclass.Set.is_empty classes then err line "entry %s has no objectClass" dn;
+  Entry.make ~id ~rdn:(first_rdn dn) ~classes (List.rev attr_pairs)
+
+let fold_entries ?id_of ~typing f init s =
+  let by_dn = Hashtbl.create 64 in
+  let ordinal = ref 0 in
+  let record ~line ~dn pairs acc =
+    let id = match id_of with Some f -> f !ordinal | None -> !ordinal in
+    incr ordinal;
+    let entry = entry_of_record ~typing ~line ~id dn pairs in
+    let parent =
+      match parent_dn dn with
+      | None -> None
+      | Some pd -> (
+          match Hashtbl.find_opt by_dn (norm_dn pd) with
+          | Some pid -> Some pid
+          | None -> err line "parent entry %S not yet defined" pd)
+    in
+    Hashtbl.replace by_dn (norm_dn dn) id;
+    match f ~parent entry acc with Ok a -> a | Error m -> err line "%s" m
+  in
+  try Ok (fold_records record init s) with Err e -> Error e
 
 let parse ?(first_id = 0) ~typing s =
   fold_entries
@@ -265,118 +274,40 @@ let pp ppf inst = Format.pp_print_string ppf (to_string inst)
 
 (* --- change records --------------------------------------------------- *)
 
-(* LDIF change records against an existing instance: each record is
-   `dn:` plus either `changetype: add` (the default) with the entry's
-   attribute lines, or `changetype: delete`.  DNs are resolved against
-   [inst] plus the records already built — an add may parent later adds
-   of the same document — and fresh ids are assigned past the
-   instance's; the ops are ready for Directory.apply / Store.apply.
-   Shared by the CLI `update` verb and the network server's write path
-   (where the server resolves at admission time, against the version
-   the transaction will actually apply to). *)
+(* Change records resolve their DNs against a rolling instance: [inst]
+   with the document's earlier adds folded in (a persistent add, O(log
+   |D|) each).  Deletes are not folded in — a later record may still
+   name a deleted DN, exactly as the ops would see it before
+   [Directory.apply] runs them — and a re-add gets a fresh, larger id,
+   so the resolver's largest-id tie-break picks it.  Nothing here is
+   proportional to |D|: each DN costs one top-down
+   {!Instance.resolve_dn} descent. *)
 let parse_changes ~typing inst text =
-  let records =
-    String.split_on_char '\n' text
-    |> List.fold_left
-         (fun (recs, cur) line ->
-           let line = String.trim line in
-           if line = "" then
-             match cur with [] -> (recs, []) | c -> (List.rev c :: recs, [])
-           else if String.length line > 0 && line.[0] = '#' then (recs, cur)
-           else (recs, line :: cur))
-         ([], [])
-    |> fun (recs, cur) ->
-    List.rev (match cur with [] -> recs | c -> List.rev c :: recs)
+  let resolve cur line dn =
+    match Instance.resolve_dn cur dn with
+    | Some id -> id
+    | None -> err line "unknown dn %S" dn
   in
-  let next_id = ref (Instance.fresh_id inst) in
-  let dn_to_id = Hashtbl.create 16 in
-  Instance.iter
-    (fun e ->
-      Hashtbl.replace dn_to_id
-        (norm_dn (Instance.dn inst (Entry.id e)))
-        (Entry.id e))
-    inst;
-  let resolve dn =
-    match Hashtbl.find_opt dn_to_id (norm_dn dn) with
-    | Some id -> Ok id
-    | None -> Error (Printf.sprintf "unknown dn %S" dn)
+  let record ~line ~dn pairs (cur, ops) =
+    let changetype, attrs =
+      match pairs with
+      | (k, v) :: rest
+        when String.lowercase_ascii (String.trim k) = "changetype" ->
+          (String.lowercase_ascii (String.trim v), rest)
+      | _ -> ("add", pairs)
+    in
+    match changetype with
+    | "delete" -> (cur, Update.Delete (resolve cur line dn) :: ops)
+    | "add" -> (
+        let parent = Option.map (resolve cur line) (parent_dn dn) in
+        let entry =
+          entry_of_record ~typing ~line ~id:(Instance.fresh_id cur) dn attrs
+        in
+        match Instance.add ~parent entry cur with
+        | Ok cur -> (cur, Update.Insert { parent; entry } :: ops)
+        | Error e -> err line "%s" (Instance.error_to_string e))
+    | other -> err line "unsupported changetype %S" other
   in
-  let split line =
-    match String.index_opt line ':' with
-    | Some i ->
-        Ok
-          ( String.trim (String.sub line 0 i),
-            String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
-    | None -> Error (Printf.sprintf "malformed line %S" line)
-  in
-  let ( let* ) = Result.bind in
-  let rec build ops = function
-    | [] -> Ok (List.rev ops)
-    | record :: rest -> (
-        match record with
-        | [] -> build ops rest
-        | dn_line :: body ->
-            let* k, dn = split dn_line in
-            if String.lowercase_ascii k <> "dn" then
-              Error (Printf.sprintf "record must start with dn:, got %S" dn_line)
-            else
-              let changetype, attrs =
-                match body with
-                | l :: more
-                  when String.lowercase_ascii l |> fun s ->
-                       String.length s >= 10 && String.sub s 0 10 = "changetype"
-                  ->
-                    ( String.trim
-                        (String.sub l
-                           (String.index l ':' + 1)
-                           (String.length l - String.index l ':' - 1)),
-                      more )
-                | _ -> ("add", body)
-              in
-              (match String.lowercase_ascii changetype with
-              | "delete" ->
-                  let* id = resolve dn in
-                  build (Update.Delete id :: ops) rest
-              | "add" ->
-                  let* parent =
-                    match parent_dn dn with
-                    | None -> Ok None
-                    | Some p ->
-                        let* pid = resolve p in
-                        Ok (Some pid)
-                  in
-                  let rdn = first_rdn dn in
-                  let* classes, pairs =
-                    List.fold_left
-                      (fun acc line ->
-                        let* classes, pairs = acc in
-                        let* k, v = split line in
-                        match Attr.of_string_opt k with
-                        | None -> Error (Printf.sprintf "bad attribute %S" k)
-                        | Some a ->
-                            if Attr.equal a Attr.object_class then
-                              match Oclass.of_string_opt v with
-                              | Some cls -> Ok (cls :: classes, pairs)
-                              | None -> Error (Printf.sprintf "bad class %S" v)
-                            else
-                              let* value = Value.parse (Typing.find typing a) v in
-                              Ok (classes, (a, value) :: pairs))
-                      (Ok ([], []))
-                      attrs
-                  in
-                  if classes = [] then
-                    Error (Printf.sprintf "%s: no objectClass" dn)
-                  else begin
-                    let id = !next_id in
-                    incr next_id;
-                    Hashtbl.replace dn_to_id (norm_dn dn) id;
-                    let entry =
-                      Entry.make ~id ~rdn
-                        ~classes:(Oclass.Set.of_list classes)
-                        (List.rev pairs)
-                    in
-                    build (Update.Insert { parent; entry } :: ops) rest
-                  end
-              | other -> Error (Printf.sprintf "unsupported changetype %S" other)))
-  in
-  build [] records
+  match fold_records record (inst, []) text with
+  | _, ops -> Ok (List.rev ops)
+  | exception Err e -> Error (error_to_string e)

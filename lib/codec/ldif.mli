@@ -62,12 +62,34 @@ val b64_decode : string -> string
 
     [parse_changes ~typing inst text] reads LDIF change records —
     [dn:] plus [changetype: add] (the default; attribute lines follow)
-    or [changetype: delete] — into update ops against [inst]: DNs
-    resolve against the instance {e and} the records already read (an
-    add may parent later adds), fresh ids are assigned past the
-    instance's.  Because resolution is against a concrete version,
-    callers admitting concurrently (the network server) must parse at
-    admission time, against the version the transaction will apply to. *)
+    or [changetype: delete] — into update ops against [inst].
+
+    - {b Lines.}  Records go through the same reader as {!fold_entries}:
+      folded continuation lines, [#] comments, exactly one optional
+      space after the [:], trailing blanks kept as value content, and
+      [attr:: b64] values decoded — so {!to_string} output (which
+      base64-encodes values with edge blanks or non-ASCII bytes) reads
+      back as change records unchanged.
+    - {b Resolution.}  Each [dn:] of a delete, and the parent DN of an
+      add (the DN minus its first rdn), resolves through
+      {!Instance.resolve_dn} against [inst] with the document's earlier
+      adds folded in: an add may parent later adds.  Deletes are not
+      folded in, so a later record may still name a deleted DN.  DNs
+      split at every [','] and rdns compare case-insensitively after
+      trimming blanks; when several entries share a DN the largest id
+      wins, which makes a re-added DN resolve to the re-add.
+    - {b Ids.}  Adds get fresh ids past [inst]'s, in document order.
+    - {b Cost.}  O(|Δ| · depth · fanout) rdn comparisons plus an
+      O(log |D|) persistent add per added entry — nothing proportional
+      to |D|.
+    - {b Totality.}  Every malformed input — a line without [:], bad
+      base64, an unknown DN, an unsupported [changetype], a record with
+      no [objectClass], an ill-typed value — is an [Error] carrying the
+      offending record's line; no input raises.
+
+    Because resolution is against a concrete version, callers admitting
+    concurrently (the network server) must parse at admission time,
+    against the version the transaction will apply to. *)
 val parse_changes :
   typing:Typing.t ->
   Instance.t ->

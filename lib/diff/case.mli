@@ -46,6 +46,10 @@ val size : t -> int
 
 val equal : t -> t -> bool
 
+(** Structural equality of update ops (entries compared with
+    {!Entry.equal}). *)
+val op_equal : Update.op -> Update.op -> bool
+
 (** Corpus serialization. *)
 val to_string : t -> string
 

@@ -1299,6 +1299,272 @@ let replica_convergence =
                       | Some m -> Disagree m))));
   }
 
+(* --- DN resolution: top-down descent vs the whole-instance table -------- *)
+
+(* The write path's resolver before the descent: a table from every
+   entry's normalized DN to its id, rebuilt over the whole instance per
+   change document — O(|D|) per request, which is why it survives only
+   here, as the reference.  [Instance.iter] visits ids in ascending
+   order and later bindings overwrite earlier ones, so a duplicated DN
+   resolves to its largest id; the document's adds join the table as
+   they are read, and deletes never leave it. *)
+let ref_norm_dn d =
+  String.split_on_char ',' d
+  |> List.map (fun p -> String.lowercase_ascii (String.trim p))
+  |> String.concat ","
+
+let ref_dn_table inst =
+  let tbl = Hashtbl.create 64 in
+  Instance.iter
+    (fun e ->
+      Hashtbl.replace tbl (ref_norm_dn (Instance.dn inst (Entry.id e))) (Entry.id e))
+    inst;
+  tbl
+
+(* The reference change parser reads only the plain records the
+   generator below writes — one [attr: value] per line, no folding, no
+   base64 — where raw-line splitting and the LDIF reader agree. *)
+let ref_parse_changes ~typing inst text =
+  let ( let* ) = Result.bind in
+  let tbl = ref_dn_table inst in
+  let next_id = ref (Instance.fresh_id inst) in
+  let resolve dn =
+    match Hashtbl.find_opt tbl (ref_norm_dn dn) with
+    | Some id -> Ok id
+    | None -> Error ("unknown dn " ^ dn)
+  in
+  let split l =
+    match String.index_opt l ':' with
+    | None -> Error ("malformed line " ^ l)
+    | Some i ->
+        Ok
+          ( String.lowercase_ascii (String.trim (String.sub l 0 i)),
+            String.trim (String.sub l (i + 1) (String.length l - i - 1)) )
+  in
+  let records =
+    String.split_on_char '\n' text
+    |> List.fold_left
+         (fun (recs, cur) l ->
+           let l = String.trim l in
+           if l = "" then ((if cur = [] then recs else List.rev cur :: recs), [])
+           else if l.[0] = '#' then (recs, cur)
+           else (recs, l :: cur))
+         ([], [])
+    |> fun (recs, cur) -> List.rev (if cur = [] then recs else List.rev cur :: recs)
+  in
+  let record ops = function
+    | [] -> Ok ops
+    | dn_line :: body -> (
+        let* k, dn = split dn_line in
+        let* () = if k = "dn" then Ok () else Error "record must start with dn" in
+        let* changetype, attrs =
+          match body with
+          | l :: rest -> (
+              let* k, v = split l in
+              if k = "changetype" then Ok (String.lowercase_ascii v, rest)
+              else Ok ("add", body))
+          | [] -> Ok ("add", [])
+        in
+        match changetype with
+        | "delete" ->
+            let* id = resolve dn in
+            Ok (Update.Delete id :: ops)
+        | "add" ->
+            let* parent =
+              match String.index_opt dn ',' with
+              | None -> Ok None
+              | Some i ->
+                  let* p = resolve (String.sub dn (i + 1) (String.length dn - i - 1)) in
+                  Ok (Some p)
+            in
+            let rdn =
+              String.trim
+                (match String.index_opt dn ',' with
+                | None -> dn
+                | Some i -> String.sub dn 0 i)
+            in
+            let* classes, pairs =
+              List.fold_left
+                (fun acc l ->
+                  let* classes, pairs = acc in
+                  let* k, v = split l in
+                  match Attr.of_string_opt k with
+                  | None -> Error ("bad attribute " ^ k)
+                  | Some a when Attr.equal a Attr.object_class -> (
+                      match Oclass.of_string_opt v with
+                      | Some c -> Ok (Oclass.Set.add c classes, pairs)
+                      | None -> Error ("bad class " ^ v))
+                  | Some a ->
+                      let* v = Value.parse (Typing.find typing a) v in
+                      Ok (classes, (a, v) :: pairs))
+                (Ok (Oclass.Set.empty, []))
+                attrs
+            in
+            if Oclass.Set.is_empty classes then Error "no objectClass"
+            else begin
+              let id = !next_id in
+              incr next_id;
+              Hashtbl.replace tbl (ref_norm_dn dn) id;
+              let entry = Entry.make ~id ~rdn ~classes (List.rev pairs) in
+              Ok (Update.Insert { parent; entry } :: ops)
+            end
+        | other -> Error ("unsupported changetype " ^ other))
+  in
+  let* ops =
+    List.fold_left (fun acc r -> Result.bind acc (fun ops -> record ops r)) (Ok []) records
+  in
+  Ok (List.rev ops)
+
+(* Rdns from a small vocabulary, so siblings collide; case and blanks
+   vary, commas never appear (DN syntax here has no escapes). *)
+let rdn_words = [| "ou=a"; "OU=A"; " ou=a "; "ou=b"; "cn=x"; "Cn=X\t"; "uid=u1"; "o=top" |]
+
+(* Ids are a random permutation of 0..n-1 assigned in insertion order,
+   so a later duplicate sibling may carry the smaller id: the tie-break
+   is by id, not by position.  One forest in four is wide: most entries
+   hang off the first, past the fanout at which [Instance] hashes a
+   node's children. *)
+let dup_forest rng =
+  let wide = Random.State.int rng 4 = 0 in
+  let n = if wide then 70 + Random.State.int rng 40 else 1 + Random.State.int rng 12 in
+  let ids = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- x
+  done;
+  let top = Oclass.Set.singleton (Oclass.of_string "top") in
+  let inst = ref Instance.empty in
+  Array.iteri
+    (fun k id ->
+      let parent =
+        if k = 0 || Random.State.int rng 4 = 0 then None
+        else if wide && Random.State.int rng 8 > 0 then Some ids.(0)
+        else Some ids.(Random.State.int rng k)
+      in
+      let e = Entry.make ~id ~rdn:(pick rng rdn_words) ~classes:top [] in
+      inst := Result.get_ok (Instance.add ~parent e !inst))
+    ids;
+  !inst
+
+(* A DN as a client might type it: random case, stray blanks around the
+   separators. *)
+let perturb_dn rng dn =
+  String.split_on_char ',' dn
+  |> List.map (fun part ->
+         let part =
+           String.map
+             (fun c ->
+               if Random.State.int rng 3 = 0 then
+                 if Char.lowercase_ascii c = c then Char.uppercase_ascii c
+                 else Char.lowercase_ascii c
+               else c)
+             part
+         in
+         match Random.State.int rng 4 with
+         | 0 -> " " ^ part
+         | 1 -> part ^ " "
+         | _ -> part)
+  |> String.concat ","
+
+(* A change document mixing adds under existing and earlier-added
+   parents, deletes, delete-then-re-add of one DN, and unknown DNs. *)
+let change_doc rng inst =
+  let known = ref (List.map (Instance.dn inst) (Instance.ids inst)) in
+  let any_dn () =
+    match !known with
+    | [] -> "cn=nobody,o=nowhere"
+    | l ->
+        let dn = List.nth l (Random.State.int rng (List.length l)) in
+        if Random.State.int rng 8 = 0 then "cn=nobody," ^ dn else dn
+  in
+  let add dn =
+    known := dn :: !known;
+    Printf.sprintf "dn: %s\nchangetype: add\nobjectClass: top\nname: v%d"
+      (perturb_dn rng dn) (Random.State.int rng 10)
+  in
+  let delete dn = Printf.sprintf "dn: %s\nchangetype: delete" (perturb_dn rng dn) in
+  let record () =
+    match Random.State.int rng 5 with
+    | 0 -> add (String.trim (pick rng rdn_words))
+    | 1 | 2 -> add (String.trim (pick rng rdn_words) ^ "," ^ any_dn ())
+    | 3 -> delete (any_dn ())
+    | _ ->
+        let dn = any_dn () in
+        delete dn ^ "\n\n" ^ add dn
+  in
+  String.concat "\n\n" (List.init (1 + Random.State.int rng 5) (fun _ -> record ())) ^ "\n"
+
+let pp_op = function
+  | Update.Insert { parent; entry } ->
+      Printf.sprintf "insert #%d %S under %s" (Entry.id entry) (Entry.rdn entry)
+        (match parent with Some p -> string_of_int p | None -> "root")
+  | Update.Delete id -> Printf.sprintf "delete #%d" id
+
+let dn_resolve =
+  {
+    name = "dn-resolve";
+    doc =
+      "Instance.resolve_dn and Ldif.parse_changes agree with a whole-instance \
+       DN table (duplicate rdns, case, blanks, in-document adds)";
+    generate =
+      (fun ~seed rng ->
+        let inst = dup_forest rng in
+        Case.make ~oracle:"dn-resolve" ~seed ~instance:inst
+          ~text:(change_doc rng inst) ());
+    check =
+      total (fun c ->
+          with_instance c (fun inst ->
+              let tbl = ref_dn_table inst in
+              let text = Option.value c.Case.text ~default:"" in
+              (* every entry's DN, a case-flipped and padded copy, and
+                 every dn line of the document *)
+              let queries =
+                List.concat_map
+                  (fun id ->
+                    let dn = Instance.dn inst id in
+                    [ dn; String.uppercase_ascii dn;
+                      String.concat " , " (String.split_on_char ',' dn) ])
+                  (Instance.ids inst)
+                @ List.filter_map
+                    (fun l ->
+                      if String.length l > 3 && String.sub l 0 3 = "dn:" then
+                        Some (String.sub l 3 (String.length l - 3))
+                      else None)
+                    (String.split_on_char '\n' text)
+              in
+              match
+                List.find_opt
+                  (fun q ->
+                    Instance.resolve_dn inst q <> Hashtbl.find_opt tbl (ref_norm_dn q))
+                  queries
+              with
+              | Some q ->
+                  let show = function Some i -> string_of_int i | None -> "none" in
+                  disagreef "resolve_dn %S = %s, table says %s" q
+                    (show (Instance.resolve_dn inst q))
+                    (show (Hashtbl.find_opt tbl (ref_norm_dn q)))
+              | None -> (
+                  let typing = Typing.default in
+                  match
+                    ( Ldif.parse_changes ~typing inst text,
+                      ref_parse_changes ~typing inst text )
+                  with
+                  | Error _, Error _ -> Agree
+                  | Ok a, Ok b
+                    when List.length a = List.length b
+                         && List.for_all2 Case.op_equal a b ->
+                      Agree
+                  | Ok a, Ok b ->
+                      disagreef "parse_changes [%s]; reference [%s]"
+                        (String.concat "; " (List.map pp_op a))
+                        (String.concat "; " (List.map pp_op b))
+                  | Ok _, Error m -> disagreef "parse_changes accepts; reference: %s" m
+                  | Error m, Ok _ ->
+                      disagreef "parse_changes rejects (%s); reference accepts" m)));
+  }
+
 let all =
   [
     ldif_roundtrip;
@@ -1321,6 +1587,7 @@ let all =
     trusted_replay;
     intern_transparency;
     replica_convergence;
+    dn_resolve;
   ]
 
 let names = List.map (fun o -> o.name) all

@@ -28,3 +28,16 @@ val find : string -> t option
 
 (** [disagrees o c] — [check] as a shrinker predicate. *)
 val disagrees : t -> Case.t -> bool
+
+(** [ref_parse_changes ~typing inst text] — the change-record parser
+    the write path used before DNs resolved by top-down descent: a table
+    from every entry's normalized DN to its id, rebuilt over the whole
+    instance per document (duplicates resolve to the largest id).  Plain
+    records only — one [attr: value] per line, no folding or base64.
+    The reference side of the [dn-resolve] oracle, and the [table]
+    before-series of bench P8. *)
+val ref_parse_changes :
+  typing:Bounds_model.Typing.t ->
+  Bounds_model.Instance.t ->
+  string ->
+  (Bounds_model.Update.op list, string) result

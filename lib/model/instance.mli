@@ -114,7 +114,15 @@ val fresh_id : t -> Entry.id
 val dn : t -> Entry.id -> string
 
 (** [resolve_dn t dn] finds the entry whose root-path of rdns matches
-    [dn] (rdn comparison is case- and whitespace-insensitive). *)
+    [dn], split at every [','] (DNs here have no escapes, so rdns hold
+    no comma).  Rdns compare case-insensitively after trimming
+    surrounding whitespace.  Sibling rdns may repeat; among all entries
+    whose whole path matches, the largest id wins.  The walk is
+    top-down and compares rdns in place.  An entry with more than 64
+    children files them by a hash of their normalized rdn, so a level
+    costs O(log fanout) plus one comparison per same-rdn sibling (a
+    narrower level is scanned): O(depth × log |D|) for a DN whose rdns
+    are unique among their siblings, however wide the forest. *)
 val resolve_dn : t -> string -> Entry.id option
 
 (** Structural equality: same forest shape (parent relation) and equal

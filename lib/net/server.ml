@@ -201,12 +201,12 @@ let with_snapshot t ~slot f =
 
 (* --- write path (the single writer thread) ------------------------------ *)
 
-let apply_one t text =
+let apply_one store text =
   (* Parse at admission time against the rolling version — inside the
      batch, so DNs resolve against the effects of earlier transactions
      in the same group. *)
-  let d = Store.directory t.store in
-  let typing = (Store.schema t.store).Schema.typing in
+  let d = Store.directory store in
+  let typing = (Store.schema store).Schema.typing in
   match Bounds_codec.Ldif.parse_changes ~typing (Directory.instance d) text with
   | Error e -> Proto.Failed ("parse: " ^ e)
   | Ok ops -> (
@@ -214,11 +214,11 @@ let apply_one t text =
          Admission.result carries the lsn the record was stamped with
          (mid-batch, that is its buffered position — durable once the
          shared flush lands, which is before this reply is released) *)
-      match Store.apply t.store ops with
+      match Store.apply store ops with
       | Admission.Accepted { lsn; ops; _ } ->
           Proto.Reply
             (Printf.sprintf "applied %d ops at lsn %d" (List.length ops)
-               (Option.value lsn ~default:(Store.lsn t.store)))
+               (Option.value lsn ~default:(Store.lsn store)))
       | Admission.Rejected { reason; _ } ->
           Proto.Failed (Format.asprintf "%a" Monitor.pp_rejection reason))
 
@@ -227,39 +227,46 @@ let publish t =
   let old = Atomic.exchange t.current snap in
   Epoch.retire t.epoch old
 
-(* Commit a run of [Apply]s as one group: tentative replies are
-   computed while the batch admits transaction by transaction, but
-   nothing is acknowledged until {!Store.batch} has flushed the shared
-   append — if that flush fails, every tentatively-accepted reply is
-   downgraded, matching the store's rollback. *)
+(* Tentative replies are computed while the batch admits transaction by
+   transaction, and stand only once {!Store.batch} has flushed the
+   shared append.  A request that fails on its own (parse error,
+   rejection) fails alone; if the flush fails, every tentatively
+   accepted reply is downgraded, matching the store's rollback — and the
+   store is poisoned, so every later group fails the same way. *)
+let commit_group store texts =
+  let tentative = Array.make (List.length texts) None in
+  match
+    Store.batch store (fun () ->
+        List.iteri (fun i text -> tentative.(i) <- Some (apply_one store text)) texts)
+  with
+  | (), _admissions -> (List.map Option.get (Array.to_list tentative), true)
+  | exception e ->
+      let msg =
+        match e with
+        | Store.Poisoned m ->
+            "commit refused: the store stopped after a failed write (" ^ m
+            ^ "); restart to recover"
+        | e -> "commit failed: " ^ Printexc.to_string e
+      in
+      ( Array.to_list
+          (Array.map
+             (function Some (Proto.Failed _ as r) -> r | _ -> Proto.Failed msg)
+             tentative),
+        false )
+
+(* Commit a run of [Apply]s as one group; acknowledge only afterwards. *)
 let commit_applies t items =
-  let n = List.length items in
-  let tentative = Array.make n (Proto.Failed "not processed") in
-  let committed =
-    match
-      Store.batch t.store (fun () ->
-          List.iteri
-            (fun i p ->
-              match p.req with
-              | Proto.Apply text -> tentative.(i) <- apply_one t text
-              | _ -> assert false)
-            items)
-    with
-    | (), _admissions -> true
-    | exception e ->
-        let msg = "commit failed: " ^ Printexc.to_string e in
-        Array.iteri
-          (fun i r ->
-            match r with
-            | Proto.Reply _ -> tentative.(i) <- Proto.Failed msg
-            | Proto.Failed _ -> ())
-          tentative;
-        false
+  let texts =
+    List.map
+      (fun p -> match p.req with Proto.Apply text -> text | _ -> assert false)
+      items
   in
+  let replies, committed = commit_group t.store texts in
+  let n = List.length items in
   let ok =
-    Array.fold_left
+    List.fold_left
       (fun k r -> match r with Proto.Reply _ -> k + 1 | _ -> k)
-      0 tentative
+      0 replies
   in
   locked t (fun () ->
       t.n_writes_ok <- t.n_writes_ok + ok;
@@ -271,11 +278,11 @@ let commit_applies t items =
       end);
   if committed && ok > 0 then publish t;
   (* Acknowledge only now: the shared fsync is behind us. *)
-  List.iteri
-    (fun i p ->
-      p.reply <- tentative.(i);
+  List.iter2
+    (fun p reply ->
+      p.reply <- reply;
       Semaphore.Binary.release p.sem)
-    items
+    items replies
 
 let commit_checkpoint t p =
   (match Store.checkpoint t.store with

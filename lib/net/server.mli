@@ -91,3 +91,17 @@ val serve_search :
   scope:string ->
   filter:string ->
   Proto.response
+
+(** {1 Write evaluation} *)
+
+(** [commit_group store texts] — the writer thread's group commit,
+    exported for tests: each text is parsed
+    ({!Bounds_codec.Ldif.parse_changes}) and admitted against the
+    rolling version inside one
+    {!Bounds_store.Store.batch}, and the replies, in order, stand only
+    once the shared append has landed.  A malformed or rejected request
+    fails alone; a failed flush fails every request of the group and
+    poisons the store, after which every group is refused.  The flag is
+    [true] when the batch committed. *)
+val commit_group :
+  Bounds_store.Store.t -> string list -> Proto.response list * bool

@@ -170,6 +170,7 @@ type fault =
   | Crash_at of int
   | Tear of { op : int; keep : int }
   | Flip of { op : int; byte : int; bit : int }
+  | Fail of { op : int; keep : int }
 
 let flip_payload ~byte ~bit data =
   if byte < 0 || byte >= String.length data then data
@@ -194,7 +195,8 @@ let faulty ~faults io =
         (function
           | Crash_at o -> o = here
           | Tear { op = o; _ } -> o = here
-          | Flip { op = o; _ } -> o = here)
+          | Flip { op = o; _ } -> o = here
+          | Fail { op = o; _ } -> o = here)
         faults
     in
     match fault with
@@ -208,6 +210,10 @@ let faulty ~faults io =
         dead := true;
         raise Crash
     | Some (Flip { byte; bit; _ }) -> apply (flip_payload ~byte ~bit payload)
+    | Some (Fail { keep; _ }) ->
+        if keep >= String.length payload then apply payload
+        else if keep > 0 then apply (String.sub payload 0 keep);
+        raise (Sys_error "injected I/O failure")
   in
   {
     read =

@@ -3,10 +3,10 @@
     Every byte the store reads or writes goes through one of these
     handles, so crash behaviour is testable from pure OCaml: {!faulty}
     wraps any handle with a deterministic fault schedule that can kill
-    the "process" ({!Crash}), tear a write at a byte offset, or flip a
-    bit of a payload — and an in-memory file system ({!mem}) survives
-    the simulated death, so a test can crash one handle and recover
-    through a fresh one over the same state.
+    the "process" ({!Crash}), tear a write at a byte offset, flip a bit
+    of a payload, or fail a call after it wrote — and an in-memory file
+    system ({!mem}) survives the simulated death, so a test can crash
+    one handle and recover through a fresh one over the same state.
 
     Operations are whole-file reads, atomic replaces, and synced
     appends — exactly the primitives a log-structured store needs, and
@@ -86,11 +86,17 @@ val remove_fs : fs -> string -> unit
       payload, then dies — a torn write.  On [remove]/[rename] (no
       payload) it behaves like [Crash_at].
     - [Flip] damages bit [bit] of byte [byte] of the payload and lets
-      the operation succeed — silent corruption, no crash. *)
+      the operation succeed — silent corruption, no crash.
+    - [Fail] applies the first [keep] bytes of the payload (all of it
+      when [keep] reaches its length), then raises [Sys_error] — a call
+      that reports failure after touching the disk, like EIO from
+      fsync.  The handle stays alive: the caller decides what a failed
+      write means. *)
 type fault =
   | Crash_at of int
   | Tear of { op : int; keep : int }
   | Flip of { op : int; byte : int; bit : int }
+  | Fail of { op : int; keep : int }
 
 (** [faulty ~faults io] wraps [io] with the schedule.  Multiple faults
     may target distinct ops; the first crash-fault to fire marks the

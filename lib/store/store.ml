@@ -52,7 +52,12 @@ type t = {
      durable (post-append, post-shared-flush) — never mid-batch *)
   mutable ship : (ship -> unit) option;
   mutable recovery_v : report option;  (** how {!open_} found the logs *)
+  (* set by the first failed log or checkpoint write; from then on every
+     write raises {!Poisoned} until a reopen lets recovery settle the log *)
+  mutable poisoned_v : string option;
 }
+
+exception Poisoned of string
 
 type error =
   | Not_a_store of string
@@ -94,6 +99,23 @@ let delta_segments t = t.chain_len
 let delta_bytes t = t.delta_bytes_v
 let recovery t = t.recovery_v
 let set_ship_hook t hook = t.ship <- hook
+let poisoned t = t.poisoned_v
+
+(* Fail-stop.  After a write that raised, the store cannot know how many
+   of its bytes reached the disk: a whole record would be recovered, a
+   torn one would make recovery truncate there and drop everything
+   appended after it, and retrying may reuse an lsn.  So the handle stops
+   accepting writes — the PostgreSQL fsync lesson — and a reopen settles
+   the log through recovery. *)
+let check_live t =
+  match t.poisoned_v with Some m -> raise (Poisoned m) | None -> ()
+
+let durably t f =
+  check_live t;
+  try f ()
+  with e ->
+    t.poisoned_v <- Some (Printexc.to_string e);
+    raise e
 
 (* The feed must never be able to fail a commit that is already durable:
    a throwing subscriber is that subscriber's problem. *)
@@ -127,7 +149,7 @@ let wal_hook t ops _dir =
       (* [append] reports the bytes it framed, so the accounting reuses
          the encoding just written instead of encoding the transaction
          twice *)
-      let bytes = Wal.append t.io wal_file ~lsn ops in
+      let bytes = durably t (fun () -> Wal.append t.io wal_file ~lsn ops) in
       t.lsn_v <- lsn;
       t.wal_bytes_v <- t.wal_bytes_v + bytes;
       t.wal_records_v <- t.wal_records_v + 1
@@ -177,11 +199,13 @@ let delta_checkpoint t =
   end
 
 let checkpoint ?(full = false) t =
-  if full || t.delta_chain <= 0 || t.chain_len >= t.delta_chain then
-    full_checkpoint t
-  else delta_checkpoint t
+  durably t (fun () ->
+      if full || t.delta_chain <= 0 || t.chain_len >= t.delta_chain then
+        full_checkpoint t
+      else delta_checkpoint t)
 
 let apply t ops =
+  check_live t;
   let dir, res = Directory.apply t.dir ops in
   let res =
     match res with
@@ -222,11 +246,14 @@ let apply t ops =
    on disk (none was acknowledged); a torn flush leaves a prefix of
    whole records that recovery replays (admitted-but-unacknowledged
    transactions — allowed, since durability promises acknowledged ⊆
-   recovered).  If the flush append raises, the store rolls back to the
-   batch-start version and lsn and the exception propagates: nothing is
-   acknowledged, the store handle stays usable. *)
+   recovered).  If [f] raises, the store rolls back to the batch-start
+   version and lsn and the exception propagates: nothing reached the
+   log, the handle stays usable.  If the flush append raises, the store
+   also rolls back — nothing is acknowledged — but the handle is
+   poisoned: some of the batch's bytes may be on disk. *)
 let batch t f =
   if t.batch_buf <> None then invalid_arg "Store.batch: batch already open";
+  check_live t;
   let dir0 = t.dir and lsn0 = t.lsn_v in
   let buf = Buffer.create 1024 in
   t.batch_buf <- Some buf;
@@ -250,7 +277,7 @@ let batch t f =
       t.batch_count <- 0;
       t.batch_results <- [];
       if Buffer.length buf > 0 then begin
-        (try Wal.append_raw t.io wal_file (Buffer.contents buf)
+        (try durably t (fun () -> Wal.append_raw t.io wal_file (Buffer.contents buf))
          with e ->
            rollback ();
            raise e);
@@ -281,6 +308,7 @@ let batch t f =
    entries bypass the log on purpose: one O(|D|) checkpoint instead of
    |Δ| log records, which is the point of a bulk path. *)
 let load ?(trust = false) t feed =
+  check_live t;
   let bulk = Directory.Bulk.start t.dir in
   let before = Directory.size t.dir in
   let add ~parent entry =
@@ -302,7 +330,7 @@ let load ?(trust = false) t feed =
              the load.  A crash between the two leaves old records with
              lsn ≤ the checkpoint's, which recovery skips as
              duplicates. *)
-          full_checkpoint t;
+          durably t (fun () -> full_checkpoint t);
           Ok (Directory.size dir - before))
 
 let close t = Directory.close t.dir
@@ -360,6 +388,7 @@ let init ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8) io schema
             batch_results = [];
             ship = None;
             recovery_v = None;
+            poisoned_v = None;
           }
         in
         hook := wal_hook t;
@@ -548,6 +577,7 @@ let open_ ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8)
                       batch_results = [];
                       ship = None;
                       recovery_v = Some report;
+                      poisoned_v = None;
                     }
                   in
                   hook := wal_hook t;
@@ -623,13 +653,14 @@ let install_snapshot io ~schema ~checkpoint =
    lost records — the caller must re-bootstrap, not guess. *)
 let replica_apply t ~lsn ops =
   if t.batch_buf <> None then invalid_arg "Store.replica_apply: inside a batch";
+  check_live t;
   if lsn <= t.lsn_v then Ok `Duplicate
   else if lsn <> t.lsn_v + 1 then
     Error
       (Printf.sprintf "lsn gap: expected %d, shipped %d" (t.lsn_v + 1) lsn)
   else begin
     let before = t.wal_bytes_v in
-    let bytes = Wal.append t.io wal_file ~lsn ops in
+    let bytes = durably t (fun () -> Wal.append t.io wal_file ~lsn ops) in
     match Directory.replay t.dir ops with
     | Ok dir ->
         t.dir <- dir;
@@ -642,7 +673,7 @@ let replica_apply t ~lsn ops =
     | Error rej ->
         (* a shipped record the trusted path cannot apply is damage, not
            a verdict: un-log it so the durable prefix stays replayable *)
-        Wal.truncate t.io wal_file ~keep:before;
+        durably t (fun () -> Wal.truncate t.io wal_file ~keep:before);
         Error
           (Format.asprintf "shipped record %d rejected: %a" lsn
              Monitor.pp_rejection rej)

@@ -151,13 +151,32 @@ val delta_bytes : t -> int
     header's totals plus everything the live session has done since. *)
 val stats : t -> Checkpoint.meta
 
+(** {1 Fail-stop}
+
+    A failed log or checkpoint write (an exception out of {!Io.t}'s
+    [append]/[write], e.g. EIO from fsync) leaves the store unable to
+    tell which of the bytes reached the disk.  The handle is then
+    {e poisoned}: the failing call re-raises the I/O exception, and
+    every later {!apply}, {!batch}, {!checkpoint}, {!load} or
+    {!replica_apply} raises [Poisoned] without touching the files.  Only
+    a fresh {!open_} — recovery truncating the log to its durable
+    prefix — makes the store writable again.  Exceptions that are not
+    write failures (one raised by a {!batch} function, say) never
+    poison. *)
+
+exception Poisoned of string
+
+(** [Some reason] once a write failed (the failing exception, printed). *)
+val poisoned : t -> string option
+
 (** [apply t ops] — append the transaction to the log (inside the
     session's commit hook, before acknowledgement), then advance the
     store to the new version.  Rejected transactions touch neither the
     log nor the session.  An accepted verdict carries the record's
     durable lsn ({!Bounds_core.Admission.lsn}); the advanced session is
     available through {!directory}.  Raises {!Io.Crash} only under a
-    fault schedule; the on-disk prefix then still recovers. *)
+    fault schedule; the on-disk prefix then still recovers.  A failed
+    append poisons the store (see Fail-stop). *)
 val apply : t -> Update.op list -> Admission.result
 
 (** [batch t f] — group commit.  {!apply}s made by [f] are admitted
@@ -176,11 +195,13 @@ val apply : t -> Update.op list -> Admission.result
     the whole (unacknowledged) batch; a torn append leaves a prefix of
     whole records that recovery replays — admitted but unacknowledged
     transactions, which the durability contract permits (acknowledged ⊆
-    recovered).  If the append raises, the store rolls back to the
-    batch-start version and lsn, and the exception propagates with the
-    handle still usable.  Auto-compaction is deferred to the flush.
-    Nesting [batch], or calling {!checkpoint}/{!load} inside [f], is a
-    programming error. *)
+    recovered).  If [f] raises, the store rolls back to the batch-start
+    version and lsn and the exception propagates with the handle still
+    usable.  If the shared append raises, the store rolls back as well
+    (nothing was acknowledged) but is poisoned: part of the batch may be
+    on disk, so no later write may follow it.  Auto-compaction is
+    deferred to the flush.  Nesting [batch], or calling
+    {!checkpoint}/{!load} inside [f], is a programming error. *)
 val batch : t -> (unit -> 'a) -> 'a * Admission.result list
 
 (** Compact in O(Δ): fold the current log into the delta chain — one

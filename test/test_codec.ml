@@ -177,6 +177,162 @@ let prop_ldif_adversarial =
       in
       canonical inst = canonical back)
 
+(* --- change records ----------------------------------------------------- *)
+
+let parse_changes = Bounds_codec.Ldif.parse_changes
+
+let changes inst text =
+  match parse_changes ~typing inst text with
+  | Ok ops -> ops
+  | Error m -> Alcotest.failf "parse_changes: %s" m
+
+(* Replay Insert ops (the only kind a content document yields) onto an
+   instance. *)
+let replay_inserts inst ops =
+  List.fold_left
+    (fun inst op ->
+      match op with
+      | Update.Insert { parent; entry } -> (
+          match Instance.add ~parent entry inst with
+          | Ok i -> i
+          | Error e -> Alcotest.fail (Instance.error_to_string e))
+      | Update.Delete _ -> Alcotest.fail "unexpected delete")
+    inst ops
+
+let test_changes_resolution () =
+  let inst = Bounds_codec.Ldif.parse_exn ~typing sample_ldif in
+  let laks = Option.get (Instance.resolve_dn inst "uid=laks,ou=research,o=att") in
+  let research = Option.get (Instance.resolve_dn inst "ou=research,o=att") in
+  let fresh = Instance.fresh_id inst in
+  (* an add may parent a later add; DNs match case- and blank-insensitively *)
+  (match
+     changes inst
+       "dn: ou=lab, OU=Research , o=ATT\nobjectClass: top\n\n\
+        dn: cn=x,ou=LAB,ou=research,o=att\nchangetype: add\nobjectClass: top\n\n\
+        dn: uid=laks,ou=research,o=att\nchangetype: delete\n"
+   with
+  | [ Update.Insert { parent = p1; entry = e1 };
+      Update.Insert { parent = p2; entry = e2 };
+      Update.Delete d ] ->
+      check "first add under research" true (p1 = Some research);
+      check_int "fresh id" fresh (Entry.id e1);
+      check_str "rdn trimmed" "ou=lab" (Entry.rdn e1);
+      check "second add under the first" true (p2 = Some fresh);
+      check_int "next fresh id" (fresh + 1) (Entry.id e2);
+      check_int "delete resolves" laks d
+  | _ -> Alcotest.fail "wanted insert, insert, delete");
+  (* delete-then-re-add: later records see the re-added (larger) id *)
+  (match
+     changes inst
+       "dn: uid=laks,ou=research,o=att\nchangetype: delete\n\n\
+        dn: uid=laks,ou=research,o=att\nobjectClass: top\n\n\
+        dn: uid=laks,ou=research,o=att\nchangetype: delete\n"
+   with
+  | [ Update.Delete a; Update.Insert { entry; _ }; Update.Delete b ] ->
+      check_int "first delete hits the stored entry" laks a;
+      check_int "second delete hits the re-add" (Entry.id entry) b
+  | _ -> Alcotest.fail "wanted delete, insert, delete");
+  let rejects what text =
+    check what true (Result.is_error (parse_changes ~typing inst text))
+  in
+  rejects "unknown dn" "dn: uid=nobody,o=att\nchangetype: delete\n";
+  rejects "unknown parent" "dn: uid=x,ou=nowhere,o=att\nobjectClass: top\n";
+  rejects "changetype without ':'" "dn: o=att\nchangetype\n";
+  rejects "unsupported changetype" "dn: o=att\nchangetype: modify\n";
+  rejects "no objectClass" "dn: cn=y,o=att\nname: y\n";
+  rejects "bad base64" "dn: cn=y,o=att\nobjectClass: top\nname:: !!!!\n";
+  (* errors carry the record's line *)
+  match parse_changes ~typing inst "\n\ndn: uid=nobody,o=att\nchangetype: delete\n" with
+  | Error m -> check_str "positioned" "line 3: unknown dn \"uid=nobody,o=att\"" m
+  | Ok _ -> Alcotest.fail "expected error"
+
+(* Change records read lines exactly as content records do: base64
+   values decode, folded lines unfold, trailing blanks are content. *)
+let test_changes_line_handling () =
+  let name ops =
+    match ops with
+    | [ Update.Insert { entry; _ } ] -> Entry.values entry (Attr.of_string "name")
+    | _ -> Alcotest.fail "wanted one insert"
+  in
+  let doc body = "dn: o=x\nobjectClass: top\n" ^ body ^ "\n" in
+  check "base64 decoded" true
+    (name (changes Instance.empty (doc "name:: IHRyYWlsaW5nIA=="))
+    = [ Value.String " trailing " ]);
+  check "folded line" true
+    (name (changes Instance.empty (doc "name: a very\n  long name"))
+    = [ Value.String "a very long name" ]);
+  check "trailing blank kept" true
+    (name (changes Instance.empty (doc "name: x ")) = [ Value.String "x " ])
+
+(* [to_string] output, fed back as change records against an empty
+   instance, rebuilds the same entries — including the values the writer
+   base64-encodes. *)
+let test_changes_roundtrip () =
+  let top = Oclass.Set.singleton Oclass.top in
+  let root =
+    Entry.make ~id:0 ~rdn:"o=x" ~classes:top
+      [
+        (Attr.of_string "a", Value.String " leading space");
+        (Attr.of_string "b", Value.String "trailing space ");
+        (Attr.of_string "c", Value.String "uni\xc3\xa9code");
+        (Attr.of_string "d", Value.String ":colon first");
+      ]
+  in
+  let child =
+    Entry.make ~id:1 ~rdn:"cn=y" ~classes:top
+      [ (Attr.of_string "e", Value.String "\xe2\x82\xac end ") ]
+  in
+  let inst =
+    Instance.add_root_exn root Instance.empty |> Instance.add_child_exn ~parent:0 child
+  in
+  let back =
+    replay_inserts Instance.empty
+      (changes Instance.empty (Bounds_codec.Ldif.to_string inst))
+  in
+  check "equal" true (Instance.equal inst back)
+
+let prop_changes_roundtrip =
+  QCheck.Test.make ~name:"change records round-trip adversarial values" ~count:200
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
+    (fun seed ->
+      let inst =
+        Bounds_workload.Gen.adversarial_forest ~seed ~size:(1 + (seed mod 10)) ()
+      in
+      match
+        parse_changes ~typing:Typing.default Instance.empty
+          (Bounds_codec.Ldif.to_string inst)
+      with
+      | Error m -> QCheck.Test.fail_report m
+      | Ok ops -> canonical inst = canonical (replay_inserts Instance.empty ops))
+
+(* Totality: no input makes the change parser raise — a malformed
+   request must come back as [Error], never as an exception that aborts
+   the group commit it was coalesced into. *)
+let ldif_fragments =
+  [| "dn:"; "dn: "; "dn: o=att"; "dn: ou=research,o=att"; "changetype";
+     "changetype:"; "changetype: add"; "changetype: delete"; "changetype: x";
+     "objectClass: top"; "objectClass:"; "::"; "name:: "; "IHRy"; "=="; "age: 4";
+     "age: x"; "uid=laks"; ","; ":"; " "; "\t"; "#"; "\xc3\xa9"; "\000" |]
+
+let prop_changes_total =
+  let line =
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (int_range 1 3)
+           (oneof [ oneofa ldif_fragments; string_size ~gen:char (int_bound 4) ])))
+  in
+  QCheck.Test.make ~name:"parse_changes never raises" ~count:2000
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          map
+            (List.fold_left (fun acc (l, sep) -> acc ^ l ^ sep) "")
+            (list_size (int_bound 8)
+               (pair line (oneofl [ "\n"; "\n"; "\n\n"; "\r\n"; "\n " ])))))
+    (fun text ->
+      let inst = Bounds_codec.Ldif.parse_exn ~typing sample_ldif in
+      match parse_changes ~typing inst text with Ok _ | Error _ -> true)
+
 (* --- base64 vectors --------------------------------------------------- *)
 
 let b64_decode = Bounds_codec.Ldif.b64_decode
@@ -242,6 +398,14 @@ let () =
           Alcotest.test_case "roundtrip generated" `Quick test_roundtrip_generated;
           QCheck_alcotest.to_alcotest prop_ldif_roundtrip;
           QCheck_alcotest.to_alcotest prop_ldif_adversarial;
+        ] );
+      ( "changes",
+        [
+          Alcotest.test_case "resolution" `Quick test_changes_resolution;
+          Alcotest.test_case "line handling" `Quick test_changes_line_handling;
+          Alcotest.test_case "roundtrip" `Quick test_changes_roundtrip;
+          QCheck_alcotest.to_alcotest prop_changes_roundtrip;
+          QCheck_alcotest.to_alcotest prop_changes_total;
         ] );
       ( "base64",
         [

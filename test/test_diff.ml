@@ -57,6 +57,22 @@ let test_smoke_all_oracles_agree () =
           check_int (r.oracle ^ " clean") 0 (List.length r.failures))
         reports
 
+(* The write path resolves change-record DNs by descending the forest;
+   the whole-instance DN table it replaced is the reference.  A larger
+   budget than the smoke run: duplicate sibling rdns, case and blanks,
+   in-document parents, delete-then-re-add and unknown DNs all come
+   from the generator. *)
+let test_dn_resolve_differential () =
+  match Oracle.find "dn-resolve" with
+  | None -> Alcotest.fail "dn-resolve oracle not registered"
+  | Some o ->
+      let r = Fuzz.run_oracle ~budget:3000 ~seed:7 o in
+      List.iter
+        (fun (f : Fuzz.failure) ->
+          Alcotest.failf "%s\n%s" f.Fuzz.message
+            (Format.asprintf "%a" Case.pp f.Fuzz.case))
+        r.Fuzz.failures
+
 let test_generation_is_deterministic () =
   (* same (oracle, seed, index) → same case, regardless of call order *)
   let o = List.hd Oracle.all in
@@ -237,6 +253,8 @@ let () =
         [
           Alcotest.test_case "smoke: all oracles agree" `Quick test_smoke_all_oracles_agree;
           Alcotest.test_case "deterministic generation" `Quick test_generation_is_deterministic;
+          Alcotest.test_case "dn-resolve: descent agrees with the DN table" `Quick
+            test_dn_resolve_differential;
         ] );
       ( "sexp",
         [

@@ -248,6 +248,89 @@ let test_instance_dn () =
     (Instance.resolve_dn t "UID=LAKS, OU=Research, O=ATT" = Some 2);
   check "resolve missing" true (Instance.resolve_dn t "uid=nobody,o=att" = None)
 
+(* [resolve_dn] keeps a per-entry index of children by rdn; after any
+   mix of adds, leaf and subtree removals, grafts and renames it must
+   answer exactly what a scan over every entry's DN answers: the largest
+   id whose normalized DN equals the query's. *)
+let scan_resolve t dn =
+  let norm d =
+    String.split_on_char ',' d
+    |> List.map (fun p -> String.lowercase_ascii (String.trim p))
+  in
+  Instance.fold
+    (fun e best ->
+      let id = Entry.id e in
+      if norm (Instance.dn t id) = norm dn then
+        match best with Some b when b >= id -> best | _ -> Some id
+      else best)
+    t None
+
+let prop_resolve_after_edits =
+  let rdns = [| "ou=a"; "OU=A "; "ou=b"; " cn=x"; "CN=X" |] in
+  QCheck.Test.make ~name:"resolve_dn = DN scan after edits" ~count:100
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let top = Oclass.Set.singleton (Oclass.of_string "top") in
+      let next = ref 0 in
+      let t = ref Instance.empty in
+      let any () =
+        match Instance.ids !t with
+        | [] -> None
+        | ids -> Some (List.nth ids (Random.State.int rng (List.length ids)))
+      in
+      (* half the runs pile their adds onto two hub parents, so those
+         levels cross the fanout past which children are hashed *)
+      let narrow = Random.State.bool rng in
+      let parent_for_add () =
+        if narrow then (if Random.State.bool rng then any () else None)
+        else if !next < 3 || Random.State.int rng 10 = 0 then any ()
+        else Some (Random.State.int rng 2)
+      in
+      let fresh () =
+        let e = Entry.make ~id:!next ~rdn:(pick rdns) ~classes:top [] in
+        incr next;
+        e
+      in
+      let r = Result.get_ok in
+      for _ = 1 to if narrow then 25 else 600 do
+        match Random.State.int rng 7 with
+        | 0 | 1 | 2 -> (
+            match parent_for_add () with
+            | Some p when not (Instance.mem !t p) -> ()
+            | parent -> t := r (Instance.add ~parent (fresh ()) !t))
+        | 3 -> (
+            match any () with
+            | Some id when (not narrow) && id < 2 -> () (* keep the hubs *)
+            | Some id when Instance.is_leaf !t id -> t := r (Instance.remove_leaf id !t)
+            | Some id when Random.State.int rng 8 = 0 ->
+                t := r (Instance.remove_subtree id !t)
+            | _ -> ())
+        | 4 -> (
+            match any () with
+            | Some id -> t := r (Instance.update_entry id (Entry.with_rdn (pick rdns)) !t)
+            | None -> ())
+        | 5 ->
+            (* graft a fresh two-entry forest: a root with one child *)
+            let a = fresh () and b = fresh () in
+            let sub =
+              Instance.empty |> Instance.add_root_exn a
+              |> Instance.add_child_exn ~parent:(Entry.id a) b
+            in
+            t := r (Instance.graft ~parent:(any ()) sub !t)
+        | _ -> ()
+      done;
+      let ids = Instance.ids !t in
+      let sample = List.filteri (fun i _ -> i mod (1 + (List.length ids / 20)) = 0) ids in
+      List.for_all
+        (fun id ->
+          let dn = Instance.dn !t id in
+          List.for_all
+            (fun q -> Instance.resolve_dn !t q = scan_resolve !t q)
+            [ dn; String.uppercase_ascii dn; "cn=x," ^ dn; "ou=zz" ])
+        sample)
+
 let test_instance_update_entry () =
   let t = sample () in
   let t =
@@ -448,6 +531,7 @@ let () =
           Alcotest.test_case "subtree & graft" `Quick test_instance_subtree_graft;
           Alcotest.test_case "dn" `Quick test_instance_dn;
           Alcotest.test_case "update entry" `Quick test_instance_update_entry;
+          QCheck_alcotest.to_alcotest prop_resolve_after_edits;
           Alcotest.test_case "sibling order" `Quick
             test_instance_equal_ignores_sibling_order;
           Alcotest.test_case "preorder" `Quick test_instance_preorder;

@@ -553,6 +553,58 @@ let test_server_group_commit_batches () =
   check_int "final size" (Instance.size inst0 + total)
     (Directory.size (Store.directory st))
 
+(* One malformed request in a group commit fails alone: the valid
+   requests coalesced with it are admitted, flushed and acknowledged.
+   (The change parser used to raise on a [changetype] line with no
+   ':', which aborted the whole batch.) *)
+let person_record uid =
+  String.concat "\n"
+    [
+      Printf.sprintf "dn: uid=%s, ou=unit1, o=acme" uid;
+      "changetype: add";
+      "objectClass: person";
+      "objectClass: top";
+      Printf.sprintf "uid: %s" uid;
+      "name: group member";
+    ]
+
+let test_malformed_apply_in_group () =
+  let inst0 = WP.generate ~seed:11 ~units:2 ~persons_per_unit:1 () in
+  let st =
+    get_store "store" (Store.init (Io.mem (Io.fresh_fs ())) WP.schema inst0)
+  in
+  let malformed = "dn: uid=bad, ou=unit1, o=acme\nchangetype\nobjectClass: person" in
+  let replies, committed =
+    Server.commit_group st [ person_record "g0"; malformed; person_record "g1" ]
+  in
+  check "group committed" true committed;
+  (match replies with
+  | [ Proto.Reply a; Proto.Failed m; Proto.Reply b ] ->
+      check_string "first acknowledged" "applied 1 ops at lsn 1" a;
+      check_string "third acknowledged" "applied 1 ops at lsn 2" b;
+      check "malformed reported as a parse error" true (contains m "parse:")
+  | _ -> Alcotest.fail "wanted reply, failure, reply");
+  check_int "both valid writes durable" 2 (Store.lsn st);
+  check_int "size" (Instance.size inst0 + 2) (Directory.size (Store.directory st))
+
+(* A failed flush fails its whole group, and the writer acknowledges
+   nothing afterwards: the store is poisoned until a restart. *)
+let test_failed_commit_stops_acks () =
+  let fs = Io.fresh_fs () in
+  let inst0 = WP.generate ~seed:11 ~units:2 ~persons_per_unit:1 () in
+  ignore (get_store "init" (Store.init (Io.mem fs) WP.schema inst0));
+  let faulty = Io.faulty ~faults:[ Io.Fail { op = 0; keep = max_int } ] (Io.mem fs) in
+  let st, _ = get_store "open" (Store.open_ faulty) in
+  let all_failed what (replies, committed) =
+    check (what ^ ": not committed") false committed;
+    check (what ^ ": nothing acknowledged") true
+      (List.for_all (function Proto.Failed _ -> true | _ -> false) replies)
+  in
+  all_failed "failed flush"
+    (Server.commit_group st [ person_record "f0"; person_record "f1" ]);
+  all_failed "after the failure" (Server.commit_group st [ person_record "f2" ]);
+  check_int "lsn not advanced" 0 (Store.lsn st)
+
 (* --- replication --------------------------------------------------------- *)
 
 let await ?(tries = 500) what pred =
@@ -931,6 +983,10 @@ let () =
             test_server_concurrent_isolation;
           Alcotest.test_case "concurrent writers coalesce into shared commits"
             `Quick test_server_group_commit_batches;
+          Alcotest.test_case "malformed apply fails alone in its group" `Quick
+            test_malformed_apply_in_group;
+          Alcotest.test_case "failed commit stops acknowledgements" `Quick
+            test_failed_commit_stops_acks;
         ] );
       ( "replication",
         [

@@ -628,12 +628,173 @@ let prop_crash_recovery =
             | Io.Crash_at op -> Printf.sprintf "seed %d: crash at op %d" seed op
             | Io.Tear { op; keep } ->
                 Printf.sprintf "seed %d: tear op %d at byte %d" seed op keep
-            | Io.Flip _ -> assert false
+            | Io.Flip _ | Io.Fail _ -> assert false
           in
           let fs = Io.copy_fs base in
           let acked = run_script script (Io.faulty ~faults:[ fault ] (Io.mem fs)) in
           check_recovery ~what script fs acked)
         (crash_points trace);
+      true)
+
+(* --- fail-stop ------------------------------------------------------------ *)
+
+(* The lsns of the real records in one log file (segment markers out). *)
+let logged_lsns fs file =
+  List.filter_map
+    (fun (r : Wal.record) ->
+      if r.lsn = 0 && r.ops = [] then None else Some r.lsn)
+    (Wal.scan (Io.mem fs) file).Wal.records
+
+let rec strictly_increasing = function
+  | x :: (y :: _ as tl) -> x < y && strictly_increasing tl
+  | _ -> true
+
+let no_lsn_reused what fs =
+  List.iter
+    (fun file ->
+      check (what ^ ": no lsn reused in " ^ file) true
+        (strictly_increasing (logged_lsns fs file)))
+    [ Store.wal_file; Store.delta_file ]
+
+let refused f =
+  match f () with exception Store.Poisoned _ -> true | _ -> false
+
+(* A failed append — EIO from fsync, modelled by a fault that writes and
+   then raises — poisons the handle, whether the whole record or only a
+   torn prefix reached the log.  Every later write is refused; reopen
+   recovers every acknowledged record (plus, when it was whole, the
+   unacknowledged failed one) and the next write gets a fresh lsn. *)
+let test_failed_append_poisons () =
+  List.iter
+    (fun (keep, what, recovered) ->
+      let fs, _ = fresh_store () in
+      let faulty = Io.faulty ~faults:[ Io.Fail { op = 1; keep } ] (Io.mem fs) in
+      let st, _ = get_store "open faulty" (Store.open_ faulty) in
+      let _ = get_apply "t1" (Store.apply st txn1) in
+      (match Store.apply st txn2 with
+      | exception Sys_error _ -> ()
+      | _ -> Alcotest.failf "%s: the failed append returned a verdict" what);
+      check (what ^ ": poisoned") true (Store.poisoned st <> None);
+      check (what ^ ": apply refused") true
+        (refused (fun () -> Store.apply st txn3));
+      check (what ^ ": batch refused") true
+        (refused (fun () -> Store.batch st (fun () -> Store.apply st txn3)));
+      check (what ^ ": checkpoint refused") true
+        (refused (fun () -> Store.checkpoint st));
+      no_lsn_reused what fs;
+      let st', _ = reopen what fs in
+      check_int (what ^ ": recovered lsn") recovered (Store.lsn st');
+      check_state what st'
+        (after (if recovered = 2 then [ txn1; txn2 ] else [ txn1 ]));
+      match Store.apply st' txn3 with
+      | Admission.Accepted { lsn = Some l; _ } ->
+          check_int (what ^ ": next lsn") (recovered + 1) l
+      | _ -> Alcotest.failf "%s: reopened store refused a write" what)
+    [ (max_int, "whole record", 2); (Frame.header_size + 2, "torn record", 1) ]
+
+(* The batch flush is the server's append: a failed flush poisons too,
+   and nothing of the batch was acknowledged.  An exception from the
+   batch function itself wrote nothing and only rolls back. *)
+let test_failed_flush_poisons () =
+  let fs, st = fresh_store () in
+  (match
+     Store.batch st (fun () ->
+         ignore (Store.apply st txn1);
+         failwith "caller gave up")
+   with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "batch swallowed the caller's exception");
+  check "caller exception does not poison" true (Store.poisoned st = None);
+  check_int "caller exception rolls back" 0 (Store.lsn st);
+  let faulty =
+    Io.faulty ~faults:[ Io.Fail { op = 0; keep = max_int } ] (Io.mem fs)
+  in
+  let st, _ = get_store "open faulty" (Store.open_ faulty) in
+  (match
+     Store.batch st (fun () ->
+         ignore (Store.apply st txn1);
+         ignore (Store.apply st txn2))
+   with
+  | exception Sys_error _ -> ()
+  | _ -> Alcotest.fail "failed flush returned");
+  check "failed flush poisons" true (Store.poisoned st <> None);
+  check_int "failed flush rolls back" 0 (Store.lsn st);
+  check "apply refused after failed flush" true
+    (refused (fun () -> Store.apply st txn3));
+  no_lsn_reused "failed flush" fs;
+  let st', _ = reopen "after failed flush" fs in
+  check_int "unacknowledged batch recovered whole" 2 (Store.lsn st');
+  check_state "after failed flush" st' (after [ txn1; txn2 ])
+
+(* Fail each mutating operation of a scripted run in turn — whole,
+   half-written, or before any byte — and keep driving the script: once
+   a write failed no later one may be acknowledged, and recovery lands
+   on the acknowledged prefix or one past it (the failed record, when
+   its bytes made it), never on a log that reused an lsn. *)
+let run_script_past_failure script io =
+  match Store.open_ io with
+  | Error e -> Alcotest.failf "script open: %s" (Store.error_to_string e)
+  | Ok (st, _) ->
+      let acked = ref 0 and failed = ref false in
+      let guard f =
+        try f () with Sys_error _ | Store.Poisoned _ -> failed := true
+      in
+      List.iteri
+        (fun i txn ->
+          guard (fun () ->
+              match Store.apply st txn with
+              | Admission.Accepted _ ->
+                  if !failed then
+                    Alcotest.failf "txn %d acknowledged after a failed write" i;
+                  incr acked
+              | Admission.Rejected _ -> Alcotest.failf "script txn %d rejected" i);
+          guard (fun () ->
+              if i + 1 = script.ckpt_after then Store.checkpoint st;
+              if i + 1 = script.ckpt_full_after then
+                Store.checkpoint ~full:true st))
+        script.txns;
+      (!acked, !failed)
+
+let prop_fail_stop =
+  QCheck.Test.make ~name:"fail at any write, keep going, recover" ~count:4
+    QCheck.(make Gen.(int_bound 10_000))
+    (fun seed ->
+      let script, inst0 = make_script seed in
+      let base = Io.fresh_fs () in
+      let _ =
+        get_store "base init" (Store.init (Io.mem base) script.schema inst0)
+      in
+      List.iter
+        (fun (op, size) ->
+          List.iter
+            (fun keep ->
+              let what =
+                Printf.sprintf "seed %d: fail op %d after %d bytes" seed op keep
+              in
+              let fs = Io.copy_fs base in
+              let acked, failed =
+                run_script_past_failure script
+                  (Io.faulty ~faults:[ Io.Fail { op; keep } ] (Io.mem fs))
+              in
+              check (what ^ ": the fault fired") true failed;
+              no_lsn_reused what fs;
+              match Store.open_ (Io.mem fs) with
+              | Error e ->
+                  Alcotest.failf "%s: recovery failed: %s" what
+                    (Store.error_to_string e)
+              | Ok (st, _) ->
+                  let r = Store.lsn st in
+                  if r <> acked && r <> acked + 1 then
+                    Alcotest.failf "%s: recovered lsn %d, %d acknowledged" what r
+                      acked;
+                  if
+                    not
+                      (Instance.equal
+                         (Directory.instance (Store.directory st))
+                         script.states.(r))
+                  then Alcotest.failf "%s: recovered state is not a prefix" what)
+            (List.sort_uniq compare [ 0; size / 2; size ]))
+        (trace_script script base);
       true)
 
 (* Interning is stable across durability: recovery decodes the very
@@ -844,6 +1005,15 @@ let () =
           Alcotest.test_case "auto checkpoint" `Quick test_auto_checkpoint;
           Alcotest.test_case "init guards" `Quick test_init_guards;
         ] );
+      (* fail-stop; group names stay within 8 characters, since Alcotest
+         pads every group to the longest and cuts long test names to fit *)
+      ( "poison",
+        [
+          Alcotest.test_case "failed append poisons" `Quick
+            test_failed_append_poisons;
+          Alcotest.test_case "failed flush poisons" `Quick
+            test_failed_flush_poisons;
+        ] );
       ( "ingest",
         [
           Alcotest.test_case "ingest modes" `Quick test_ingest_modes;
@@ -853,6 +1023,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_crash_recovery;
           QCheck_alcotest.to_alcotest prop_intern_stable_across_recovery;
+          QCheck_alcotest.to_alcotest prop_fail_stop;
           Alcotest.test_case "real files" `Quick test_real_io;
         ] );
     ]
