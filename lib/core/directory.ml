@@ -3,42 +3,41 @@ module Index = Bounds_query.Index
 module Vindex = Bounds_query.Vindex
 module Plan = Bounds_query.Plan
 module Search = Bounds_query.Search
-module Pool = Bounds_par.Pool
 
 (* --- read-only snapshots ---------------------------------------------- *)
 
 module Snapshot = struct
   type t = { index : Index.t; vindex : Vindex.t; memo : Plan.memo }
 
-  let of_index ?pool index =
-    let vindex = Vindex.create ?pool index in
+  let of_index index =
+    let vindex = Vindex.create index in
     { index; vindex; memo = Plan.memo_create vindex }
 
-  let of_instance ?pool inst = of_index ?pool (Index.create ?pool inst)
+  let of_instance inst = of_index (Index.create inst)
   let index s = s.index
   let vindex s = s.vindex
   let memo s = s.memo
   let instance s = Index.instance s.index
-  let query ?pool s q = Plan.memo_eval ?pool s.memo q
-  let query_ids ?pool s q = Index.ids_of s.index (query ?pool s q)
+  let query s q = Plan.memo_eval s.memo q
+  let query_ids s q = Index.ids_of s.index (query s q)
 
   (* Read-only twins: never write the snapshot's memo, so any number of
-     concurrent readers (threads or domains) may evaluate over one
-     published snapshot — the lock-free read path of the network
-     server's snapshot-isolation discipline. *)
-  let query_ro ?pool s q = Plan.memo_eval_ro ?pool s.memo q
-  let query_ids_ro ?pool s q = Index.ids_of s.index (query_ro ?pool s q)
+     concurrent reader threads may evaluate over one published snapshot
+     — the lock-free read path of the network server's
+     snapshot-isolation discipline. *)
+  let query_ro s q = Plan.memo_eval_ro s.memo q
+  let query_ids_ro s q = Index.ids_of s.index (query_ro s q)
 
-  let explain ?pool s q =
+  let explain s q =
     let plan = Plan.plan s.vindex q in
-    let result = Plan.exec ?pool plan in
+    let result = Plan.exec plan in
     (plan, result)
 
   let search s ~base scope filter =
     Search.search ~vindex:s.vindex s.index ~base scope filter
 
-  let validate ?(extensions = true) ?pool ?memoize schema s =
-    Legality.check ~extensions ?pool ~index:s.index ~vindex:s.vindex
+  let validate ?(extensions = true) ?memoize schema s =
+    Legality.check ~extensions ~index:s.index ~vindex:s.vindex
       ~memo:s.memo ?memoize schema (instance s)
 
   (* The raw structures, for oracles/benchmarks that differentially test
@@ -68,68 +67,49 @@ type t = {
   memo : Plan.memo;
   extensions : bool;
   memoize : bool;
-  pool : Pool.t option;
-  owns_pool : bool;
   counters : counters;
   store : (Update.op list -> t -> unit) option;
 }
 
 type commit_hook = Update.op list -> t -> unit
 
-let open_ ?(extensions = true) ?jobs ?pool ?(memoize = true) ?store schema inst =
-  let pool, owns_pool =
-    match (pool, jobs) with
-    | (Some _ as p), _ -> (p, false)
-    | None, (None | Some 1) -> (None, false)
-    | None, Some j ->
-        let domains = if j <= 0 then None else Some j in
-        (Some (Pool.create ?domains ()), true)
-  in
-  let index = Index.create ?pool inst in
-  let vindex = Vindex.create ?pool index in
+let open_ ?(extensions = true) ?(memoize = true) ?store schema inst =
+  let index = Index.create inst in
+  let vindex = Vindex.create index in
   let memo = Plan.memo_create vindex in
   (* The admission scan prewarms [memo] with the Figure-4 obligation
      queries, so the session's first [validate] is all cache hits. *)
-  match
-    Monitor.create ~extensions ?pool ~index ~vindex
-      ?memo:(if memoize then Some memo else None)
-      ~memoize schema inst
-  with
-  | Error _ as e ->
-      if owns_pool then Option.iter Pool.shutdown pool;
-      e
-  | Ok monitor ->
-      Ok
-        {
-          schema;
-          monitor;
-          vindex;
-          memo;
-          extensions;
-          memoize;
-          pool;
-          owns_pool;
-          counters = { queries = 0; applied = 0; rejected = 0 };
-          store;
-        }
+  Monitor.create ~extensions ~index ~vindex
+    ?memo:(if memoize then Some memo else None)
+    ~memoize schema inst
+  |> Result.map (fun monitor ->
+         {
+           schema;
+           monitor;
+           vindex;
+           memo;
+           extensions;
+           memoize;
+           counters = { queries = 0; applied = 0; rejected = 0 };
+           store;
+         })
 
 let schema t = t.schema
 let monitor t = t.monitor
 let instance t = Monitor.instance t.monitor
 let index t = Monitor.index t.monitor
-let pool t = t.pool
 let size t = Instance.size (instance t)
 
 let query t q =
   t.counters.queries <- t.counters.queries + 1;
-  Plan.memo_eval ?pool:t.pool t.memo q
+  Plan.memo_eval t.memo q
 
 let query_ids t q = Index.ids_of (index t) (query t q)
 
 let explain t q =
   t.counters.queries <- t.counters.queries + 1;
   let plan = Plan.plan t.vindex q in
-  let result = Plan.exec ?pool:t.pool plan in
+  let result = Plan.exec plan in
   (plan, result)
 
 let search t ~base scope filter =
@@ -137,8 +117,7 @@ let search t ~base scope filter =
   Search.search ~vindex:t.vindex (index t) ~base scope filter
 
 let validate t =
-  Legality.check ~extensions:t.extensions ?pool:t.pool ~index:(index t)
-    ~vindex:t.vindex
+  Legality.check ~extensions:t.extensions ~index:(index t) ~vindex:t.vindex
     ?memo:(if t.memoize then Some t.memo else None)
     ~memoize:t.memoize t.schema (instance t)
 
@@ -264,8 +243,8 @@ module Bulk = struct
       (* one bulk (re)build of every deferred structure, against the
          final instance — O(n + Δ) total instead of O(txns · n) *)
       let t = b.live in
-      let index = Index.create ?pool:t.pool b.inst in
-      let vindex = Vindex.create ?pool:t.pool index in
+      let index = Index.create b.inst in
+      let vindex = Vindex.create index in
       let memo = Plan.memo_create vindex in
       let monitor =
         Monitor.of_index_trusted ~extensions:t.extensions t.schema index
@@ -275,8 +254,6 @@ end
 
 let snapshot t =
   { Snapshot.index = index t; vindex = t.vindex; memo = t.memo }
-
-let close t = if t.owns_pool then Option.iter Pool.shutdown t.pool
 
 (* --- stats -------------------------------------------------------------- *)
 

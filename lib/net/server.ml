@@ -297,30 +297,42 @@ let commit_checkpoint t p =
    Subscribers whose lsn the logs no longer cover (or who ask from -1)
    get a [Boot] bootstrap package instead. *)
 let commit_subscribe t p from_lsn =
-  let sub =
-    locked t (fun () ->
-        let sid = t.next_sid in
-        t.next_sid <- sid + 1;
-        { sid; sq = Queue.create (); sc = Condition.create (); sent_lsn = from_lsn })
-  in
   let boot () =
     let schema, checkpoint, lsn = Store.boot_blob t.store in
     [ Proto.Boot { lsn; schema; checkpoint } ]
   in
-  let items =
-    if from_lsn < 0 then boot ()
-    else
-      match Store.records_from t.store ~lsn:from_lsn with
-      | `Records rs -> List.map (fun (lsn, ops) -> Proto.Ship { lsn; ops }) rs
-      | `Too_old -> boot ()
-  in
-  locked t (fun () ->
-      List.iter (fun i -> Queue.push i sub.sq) items;
-      t.subs <- sub :: t.subs);
-  p.sub <- Some sub;
-  p.reply <-
-    Proto.Reply
-      (Printf.sprintf "subscribed from %d at %d" from_lsn (Store.lsn t.store));
+  (match
+     if from_lsn < 0 then boot ()
+     else
+       match Store.records_from t.store ~lsn:from_lsn with
+       | `Records rs -> List.map (fun (lsn, ops) -> Proto.Ship { lsn; ops }) rs
+       | `Too_old -> boot ()
+   with
+  | exception e ->
+      (* a poisoned store ships nothing: refuse the subscriber rather
+         than let the exception take the writer thread down *)
+      let why = match e with Store.Poisoned m -> m | e -> Printexc.to_string e in
+      p.reply <- Proto.Failed ("subscribe refused: " ^ why)
+  | items ->
+      let sub =
+        locked t (fun () ->
+            let sid = t.next_sid in
+            t.next_sid <- sid + 1;
+            let sub =
+              {
+                sid;
+                sq = Queue.of_seq (List.to_seq items);
+                sc = Condition.create ();
+                sent_lsn = from_lsn;
+              }
+            in
+            t.subs <- sub :: t.subs;
+            sub)
+      in
+      p.sub <- Some sub;
+      p.reply <-
+        Proto.Reply
+          (Printf.sprintf "subscribed from %d at %d" from_lsn (Store.lsn t.store)));
   Semaphore.Binary.release p.sem
 
 let writer_loop t =

@@ -125,7 +125,7 @@ let chunkify n ids entries parents depths extents =
         c_sizes = Array.init len (fun i -> extents.(lo + i) - (lo + i) + 1);
       })
 
-let create ?pool instance =
+let create instance =
   let n = Instance.size instance in
   let ids = Array.make n 0 in
   let parents = Array.make n (-1) in
@@ -181,19 +181,7 @@ let create ?pool instance =
     let p = parents.(r) in
     if p >= 0 && extents.(r) > extents.(p) then extents.(p) <- extents.(r)
   done;
-  (* The per-rank entry payloads are independent map lookups: fill the
-     array in parallel once the numbering is known. *)
-  let entries =
-    if n = 0 then [||]
-    else begin
-      let entries = Array.make n (Instance.entry instance ids.(0)) in
-      Bounds_par.Pool.parallel_for ?pool ~align:1 n (fun ~lo ~hi ->
-          for r = max lo 1 to hi - 1 do
-            entries.(r) <- Instance.entry instance ids.(r)
-          done);
-      entries
-    end
-  in
+  let entries = Array.map (Instance.entry instance) ids in
   let chunks = chunkify n ids entries parents depths extents in
   let starts, pos = spine_of_chunks chunks in
   (* A freshly-built version keeps its flat mirror: the build already

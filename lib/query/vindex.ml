@@ -80,8 +80,8 @@ type t = {
   present : postings Pmap.t;
   (* Range and trigram structures are built lazily per attribute — the
      legality hot path (Eq/Present only) never pays for them.  The lock
-     makes on-demand construction safe when a pool evaluates several
-     queries over one shared snapshot concurrently; the maps being
+     makes on-demand construction safe when concurrent reader threads
+     evaluate queries over one shared snapshot; the maps being
      persistent, a version step just drops the touched attributes from
      its copy of the spine and shares the rest. *)
   lock : Mutex.t;
@@ -125,50 +125,23 @@ let push_tbl tbl k id =
       Hashtbl.replace tbl k (Building (c + 1, id :: l))
   | None -> Hashtbl.replace tbl k (Building (1, [ id ]))
 
-(* Prepend a later chunk's per-key list onto the accumulated one: chunks
-   are merged in increasing rank order and each per-chunk list is built
-   newest-first, so [l @ prev] reproduces exactly the lists of the
-   sequential build (the final freeze then sorts both the same way). *)
-let merge_into tbl k p =
-  match Hashtbl.find_opt tbl k with
-  | None -> Hashtbl.replace tbl k p
-  | Some p0 ->
-      let c, l = thaw p and c0, prev = thaw p0 in
-      Hashtbl.replace tbl k (Building (c + c0, l @ prev))
-
-let create ?pool ix =
+let create ix =
   let n = Index.n ix in
   Index.materialize ix;
-  let build ~lo ~hi =
-    (* Pre-sized: one eq bucket per entry-value pair is the common case
-       (duplicate pairs only shrink it), so seed with the chunk width
-       instead of growing through doublings from a constant. *)
-    let eq = Hashtbl.create (max 64 (2 * (hi - lo)))
-    and present = Hashtbl.create (max 16 (hi - lo)) in
-    for r = lo to hi - 1 do
-      let e = Index.entry_of_rank ix r in
-      let id = Entry.id e in
-      List.iter
-        (fun (a, v) ->
-          push_tbl eq (eq_key (Attr.to_string a) (norm (Value.to_string v))) id)
-        (Entry.pairs e);
-      Attr.Set.iter
-        (fun a -> push_tbl present (attr_key (Attr.to_string a)) id)
-        (Entry.attributes e)
-    done;
-    (eq, present)
-  in
-  let eq, present =
-    match Bounds_par.Pool.map_chunks ?pool n build with
-    | [] -> (Hashtbl.create 16, Hashtbl.create 16)
-    | (eq, present) :: rest ->
-        List.iter
-          (fun (eq', present') ->
-            Hashtbl.iter (merge_into eq) eq';
-            Hashtbl.iter (merge_into present) present')
-          rest;
-        (eq, present)
-  in
+  (* Pre-sized: one eq bucket per entry-value pair is the common case
+     (duplicate pairs only shrink it), so seed with the entry count
+     instead of growing through doublings from a constant. *)
+  let eq = Hashtbl.create (max 64 (2 * n)) and present = Hashtbl.create (max 16 n) in
+  for r = 0 to n - 1 do
+    let e = Index.entry_of_rank ix r in
+    let id = Entry.id e in
+    List.iter
+      (fun (a, v) -> push_tbl eq (eq_key (Attr.to_string a) (norm (Value.to_string v))) id)
+      (Entry.pairs e);
+    Attr.Set.iter
+      (fun a -> push_tbl present (attr_key (Attr.to_string a)) id)
+      (Entry.attributes e)
+  done;
   (* snapshot-build time is freeze time: every posting list becomes one
      sorted id array before the first lookup runs *)
   let to_pmap tbl = Hashtbl.fold (fun k p m -> Pmap.add k (freeze p) m) tbl Pmap.empty in

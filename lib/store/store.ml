@@ -333,15 +333,14 @@ let load ?(trust = false) t feed =
           durably t (fun () -> full_checkpoint t);
           Ok (Directory.size dir - before))
 
-let close t = Directory.close t.dir
+let close _ = ()
 
-let init ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8) io schema
-    inst =
+let init ?extensions ?(auto_checkpoint = 0) ?(delta_chain = 8) io schema inst =
   if exists io then Error Already_a_store
   else
     let hook = ref (fun _ _ -> ()) in
     match
-      Directory.open_ ?extensions ?pool
+      Directory.open_ ?extensions
         ~store:(fun ops d -> !hook ops d)
         schema inst
     with
@@ -493,7 +492,7 @@ let replay_log ~trusted ~ingest io dir0 ~lsn:lsn0 =
     `Delta (delta_replayed, delta_broke, delta_folded.Wal.end_offset, st.segments)
   )
 
-let open_ ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8)
+let open_ ?extensions ?(auto_checkpoint = 0) ?(delta_chain = 8)
     ?(trusted = true) ?(ingest = `Auto) io =
   match io.Io.read schema_file with
   | None -> Error (Not_a_store ("missing " ^ schema_file))
@@ -509,7 +508,7 @@ let open_ ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8)
           | Ok (meta, inst) -> (
               let hook = ref (fun _ _ -> ()) in
               match
-                Directory.open_ ?extensions ?pool
+                Directory.open_ ?extensions
                   ~store:(fun ops d -> !hook ops d)
                   schema inst
               with
@@ -588,13 +587,17 @@ let open_ ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8)
 (* Catch a subscriber up from its last durable lsn: every record with a
    greater lsn still lives in the delta chain + log iff the subscriber
    is no older than the base checkpoint (records at or below the base's
-   lsn are folded into the snapshot and gone from the logs). *)
+   lsn are folded into the snapshot and gone from the logs).  Only
+   records up to [lsn_v] were acknowledged: a failed batch flush can
+   leave whole records past it in the log, and those are never shipped —
+   a poisoned store ships nothing at all. *)
 let records_from t ~lsn:from_lsn =
   if t.batch_buf <> None then invalid_arg "Store.records_from: inside a batch";
+  check_live t;
   if from_lsn < t.base.Checkpoint.lsn || from_lsn > t.lsn_v then `Too_old
   else
     let take acc (r : Wal.record) =
-      if r.lsn = 0 && r.ops = [] then acc (* segment marker *)
+      if (r.lsn = 0 && r.ops = []) (* segment marker *) || r.lsn > t.lsn_v then acc
       else (r.lsn, r.ops) :: acc
     in
     let acc = (Wal.fold_from t.io delta_file ~lsn:from_lsn take []).Wal.acc in
@@ -607,6 +610,7 @@ let records_from t ~lsn:from_lsn =
    {!Checkpoint} codec the store trusts on disk.  O(|D|). *)
 let boot_blob t =
   if t.batch_buf <> None then invalid_arg "Store.boot_blob: inside a batch";
+  check_live t;
   let meta = stats t in
   let scratch = Io.mem (Io.fresh_fs ()) in
   Checkpoint.write scratch checkpoint_file meta (Directory.instance t.dir);

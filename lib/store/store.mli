@@ -91,7 +91,6 @@ val exists : Io.t -> bool
     that many records accumulate in the log. *)
 val init :
   ?extensions:bool ->
-  ?pool:Bounds_par.Pool.t ->
   ?auto_checkpoint:int ->
   ?delta_chain:int ->
   Io.t ->
@@ -117,7 +116,6 @@ val init :
     crossover). *)
 val open_ :
   ?extensions:bool ->
-  ?pool:Bounds_par.Pool.t ->
   ?auto_checkpoint:int ->
   ?delta_chain:int ->
   ?trusted:bool ->
@@ -157,8 +155,9 @@ val stats : t -> Checkpoint.meta
     [append]/[write], e.g. EIO from fsync) leaves the store unable to
     tell which of the bytes reached the disk.  The handle is then
     {e poisoned}: the failing call re-raises the I/O exception, and
-    every later {!apply}, {!batch}, {!checkpoint}, {!load} or
-    {!replica_apply} raises [Poisoned] without touching the files.  Only
+    every later {!apply}, {!batch}, {!checkpoint}, {!load},
+    {!replica_apply}, {!records_from} or {!boot_blob} raises [Poisoned]
+    without touching the files — a poisoned primary ships nothing.  Only
     a fresh {!open_} — recovery truncating the log to its durable
     prefix — makes the store writable again.  Exceptions that are not
     write failures (one raised by a {!batch} function, say) never
@@ -239,7 +238,8 @@ val load :
   (unit, string) result) ->
   (int, error) result
 
-(** Shut down the session's pool, if it owns one. *)
+(** End the handle's lifetime.  Does nothing: a store holds no resource
+    of its own, and {!Io.t} opens and closes its files per call. *)
 val close : t -> unit
 
 (** {1 Replication — WAL shipment}
@@ -269,9 +269,10 @@ type ship =
     already durable. *)
 val set_ship_hook : t -> (ship -> unit) option -> unit
 
-(** [records_from t ~lsn] — catch a subscriber up: every durable record
-    with lsn strictly greater than [lsn], oldest first (delta chain,
-    then log).  [`Too_old] when the base checkpoint already folded lsns
+(** [records_from t ~lsn] — catch a subscriber up: every acknowledged
+    record with lsn strictly greater than [lsn] and at most {!lsn},
+    oldest first (delta chain, then log).  Raises [Poisoned] once the
+    store is poisoned.  [`Too_old] when the base checkpoint already folded lsns
     past [lsn] (or [lsn] is beyond this store's history): the
     subscriber needs a {!boot_blob} bootstrap instead. *)
 val records_from :
@@ -279,7 +280,8 @@ val records_from :
 
 (** The current version as a bootstrap package:
     [(schema text, checkpoint blob, lsn)].  O(|D|) — the feed sends it
-    once per subscriber that cannot catch up from the logs. *)
+    once per subscriber that cannot catch up from the logs.  Raises
+    [Poisoned] once the store is poisoned. *)
 val boot_blob : t -> string * string * int
 
 (** [install_snapshot io ~schema ~checkpoint] writes a shipped

@@ -865,6 +865,40 @@ let test_hello_version_gate () =
       Client.close c);
   Server.wait srv
 
+(* A poisoned primary refuses subscribers instead of shipping records
+   it never acknowledged (or dying on the writer thread): catch-up and
+   bootstrap both fail, and the server keeps answering. *)
+let test_poisoned_primary_refuses_subscribe () =
+  let fs = Io.fresh_fs () in
+  let inst0 = WP.generate ~seed:11 ~units:2 ~persons_per_unit:1 () in
+  ignore (get_store "init" (Store.init (Io.mem fs) WP.schema inst0));
+  let faulty = Io.faulty ~faults:[ Io.Fail { op = 0; keep = max_int } ] (Io.mem fs) in
+  let st, _ = get_store "open" (Store.open_ faulty) in
+  let _, committed = Server.commit_group st [ person_record "p0"; person_record "p1" ] in
+  check "flush failed" false committed;
+  let srv = Server.start ~port:0 ~replicate:true st in
+  (match Client.connect ~port:(Server.port srv) ~retries:40 ~role:Proto.Replica () with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+      List.iter
+        (fun from_lsn ->
+          match Client.request c (Proto.Subscribe { from_lsn }) with
+          | Ok (Proto.Failed msg) ->
+              check
+                (Printf.sprintf "subscribe from %d refused" from_lsn)
+                true (contains msg "subscribe refused")
+          | Ok _ -> Alcotest.failf "subscribe from %d accepted" from_lsn
+          | Error e -> Alcotest.failf "subscribe from %d: %s" from_lsn e)
+        [ 0; -1 ];
+      (match Client.request c Proto.Ping with
+      | Ok (Proto.Reply "pong") -> ()
+      | _ -> Alcotest.fail "server stopped answering");
+      (match Client.request c Proto.Shutdown with
+      | Ok (Proto.Reply _) -> ()
+      | _ -> Alcotest.fail "shutdown refused");
+      Client.close c);
+  Server.wait srv
+
 (* End to end over real sockets: primary serves with replication, the
    replica bootstraps, follows live traffic, is killed, restarted on
    its own files, and converges again — resuming by lsn, not by a
@@ -994,6 +1028,8 @@ let () =
           Alcotest.test_case "deterministic reconnect pacing" `Quick
             test_backoff_deterministic_reconnect;
           Alcotest.test_case "hello version gate" `Quick test_hello_version_gate;
+          Alcotest.test_case "poisoned primary refuses subscribe" `Quick
+            test_poisoned_primary_refuses_subscribe;
           qt prop_lsn_discipline;
           qt prop_crash_at_every_shipped_byte;
           Alcotest.test_case "live kill and reconnect converges" `Quick

@@ -726,6 +726,31 @@ let test_failed_flush_poisons () =
   check_int "unacknowledged batch recovered whole" 2 (Store.lsn st');
   check_state "after failed flush" st' (after [ txn1; txn2 ])
 
+(* A failed batch flush can leave whole records in the log past the
+   rolled-back lsn.  They were never acknowledged, so the replication
+   feed must not ship them: a new subscriber would hold records the
+   primary may later reuse the lsns of.  A poisoned store ships
+   nothing — no catch-up records, no bootstrap package. *)
+let test_poisoned_ships_nothing () =
+  let fs, _ = fresh_store () in
+  let faulty =
+    Io.faulty ~faults:[ Io.Fail { op = 0; keep = max_int } ] (Io.mem fs)
+  in
+  let st, _ = get_store "open faulty" (Store.open_ faulty) in
+  (match
+     Store.batch st (fun () ->
+         ignore (Store.apply st txn1);
+         ignore (Store.apply st txn2))
+   with
+  | exception Sys_error _ -> ()
+  | _ -> Alcotest.fail "failed flush returned");
+  check_int "failed flush rolls back" 0 (Store.lsn st);
+  check_int "the unacknowledged records are in the log" 2
+    (List.length (logged_lsns fs Store.wal_file));
+  check "records_from refused" true
+    (refused (fun () -> Store.records_from st ~lsn:0));
+  check "boot_blob refused" true (refused (fun () -> Store.boot_blob st))
+
 (* Fail each mutating operation of a scripted run in turn — whole,
    half-written, or before any byte — and keep driving the script: once
    a write failed no later one may be acknowledged, and recovery lands
@@ -1013,6 +1038,8 @@ let () =
             test_failed_append_poisons;
           Alcotest.test_case "failed flush poisons" `Quick
             test_failed_flush_poisons;
+          Alcotest.test_case "poisoned ships nothing" `Quick
+            test_poisoned_ships_nothing;
         ] );
       ( "ingest",
         [
