@@ -212,15 +212,19 @@ let fold_entries ?id_of ~typing f init s =
     let id = match id_of with Some f -> f !ordinal | None -> !ordinal in
     incr ordinal;
     let entry = entry_of_record ~typing ~line ~id dn pairs in
+    (* normalized per rdn: the parent's key is the child's past its ',' *)
+    let key = norm_dn dn in
     let parent =
-      match parent_dn dn with
+      match parent_dn key with
       | None -> None
-      | Some pd -> (
-          match Hashtbl.find_opt by_dn (norm_dn pd) with
+      | Some pk -> (
+          match Hashtbl.find_opt by_dn pk with
           | Some pid -> Some pid
-          | None -> err line "parent entry %S not yet defined" pd)
+          | None ->
+              err line "parent entry %S not yet defined"
+                (Option.get (parent_dn dn)))
     in
-    Hashtbl.replace by_dn (norm_dn dn) id;
+    Hashtbl.replace by_dn key id;
     match f ~parent entry acc with Ok a -> a | Error m -> err line "%s" m
   in
   try Ok (fold_records record init s) with Err e -> Error e

@@ -166,7 +166,6 @@ let replay t ops =
 
 module Bulk = struct
   type session = t
-  type mode = [ `Auto | `Batch | `Incremental ]
 
   type t = {
     mutable live : session;  (* incrementally-patched version *)
@@ -175,7 +174,6 @@ module Bulk = struct
     mutable txns : int;
     mutable pending : int;  (* ops folded in since [start] *)
     base_n : int;  (* live instance size at [start] *)
-    mode : mode;
   }
 
   (* Cost crossover.  One incremental splice pays a copy-on-write pass
@@ -188,30 +186,21 @@ module Bulk = struct
      the live instance. *)
   let rebuild_ratio = 8
 
-  let start ?(mode : mode = `Auto) (t : session) =
-    let b =
-      {
-        live = t;
-        inst = instance t;
-        batched = false;
-        txns = 0;
-        pending = 0;
-        base_n = size t;
-        mode;
-      }
-    in
-    if mode = `Batch then b.batched <- true;
-    b
+  let start (t : session) =
+    {
+      live = t;
+      inst = instance t;
+      batched = false;
+      txns = 0;
+      pending = 0;
+      base_n = size t;
+    }
 
   let add b ops =
     let pending = b.pending + List.length ops in
     if
       (not b.batched)
-      && (match b.mode with
-         | `Incremental -> false
-         | `Batch -> true
-         | `Auto ->
-             b.txns + 1 >= rebuild_ratio || 4 * pending >= b.base_n + 4)
+      && (b.txns + 1 >= rebuild_ratio || 4 * pending >= b.base_n + 4)
     then begin
       b.batched <- true;
       b.inst <- instance b.live
@@ -233,9 +222,6 @@ module Bulk = struct
           b.txns <- b.txns + 1;
           b.pending <- pending;
           Ok ()
-
-  let txns b = b.txns
-  let batched b = b.batched
 
   let finish b =
     if not b.batched then b.live

@@ -181,7 +181,7 @@ val replay : t -> Update.op list -> (t, Monitor.rejection) result
 
 (** Batched trusted ingest: fold many already-admitted transactions into
     a session while deferring (or skipping) per-transaction index
-    patching.
+    patching — the streaming path of {!Bounds_store.Store.load}.
 
     The builder starts in the {e incremental} regime, splicing each
     transaction through {!replay}.  Once the folded Δ grows past a cost
@@ -189,30 +189,20 @@ val replay : t -> Update.op list -> (t, Monitor.rejection) result
     ratio, or Δ size no longer small next to the live instance — it
     flips to the {e batch} regime: ops land on a copy-on-write instance
     only, and {!Bulk.finish} bulk-(re)builds the index, value tables,
-    memo and admission tables once against the final instance.  Recovery
-    of k records over n entries thus costs O(n + Δ) instead of O(k·n).
+    memo and admission tables once against the final instance.  Ingesting
+    k transactions over n entries thus costs O(n + Δ) instead of O(k·n).
 
     Like {!replay}, no legality checks and no durability hook — callers
-    own both (see {!Bounds_store.Store} recovery and bulk load). *)
+    own both. *)
 module Bulk : sig
   type session := t
   type t
 
-  (** [`Auto] applies the cost crossover; [`Batch] and [`Incremental]
-      force a regime (differential testing, benchmarks). *)
-  type mode = [ `Auto | `Batch | `Incremental ]
-
-  val start : ?mode:mode -> session -> t
+  val start : session -> t
 
   (** Fold one transaction in (mutates the builder).  On [Error] the
       builder is unchanged and still usable; the record is not counted. *)
   val add : t -> Update.op list -> (unit, Monitor.rejection) result
-
-  (** Transactions accepted so far. *)
-  val txns : t -> int
-
-  (** Whether the crossover has flipped to the batch regime. *)
-  val batched : t -> bool
 
   (** The ingested session: the live incremental version, or one bulk
       rebuild of every deferred structure. *)

@@ -824,18 +824,17 @@ let store_roundtrip =
 
 (* Recovery must not depend on which replay engine walks the tail: the
    checked path re-runs full admission per record, the trusted path
-   splices without checks (and past the cost crossover, batches the
-   index rebuild) — Theorem 4.1 says the verdicts cannot differ on
-   records that were admitted when first acknowledged.  Every case holds
-   all three trusted regimes (auto, forced batch, forced incremental)
-   against the checked baseline on lsn, instance, legality, and the
-   memoized obligation answers. *)
+   folds the tail into the checkpoint's instance without checks and
+   builds the session once — Theorem 4.1 says the verdicts cannot differ
+   on records that were admitted when first acknowledged.  Every case
+   holds the trusted recovery against the checked baseline on lsn,
+   instance, legality, stats, and the memoized obligation answers. *)
 let trusted_replay =
   {
     name = "trusted-replay";
     doc =
-      "recovery via trusted replay (auto/batch/incremental ingest) agrees \
-       with checked replay (instance, legality, obligation answers)";
+      "recovery via trusted replay agrees with checked replay (instance, \
+       legality, stats, obligation answers)";
     generate = (fun ~seed rng -> monitor_case "trusted-replay" ~seed rng);
     check =
       total (fun c ->
@@ -854,9 +853,9 @@ let trusted_replay =
                           if i = 0 then Store.checkpoint st)
                         c.Case.ops;
                       Store.close st;
-                      let recover label ~trusted ?ingest () =
+                      let recover label ~trusted =
                         match
-                          Store.open_ ~trusted ?ingest
+                          Store.open_ ~trusted
                             (Store_io.mem (Store_io.copy_fs fs))
                         with
                         | Error e ->
@@ -867,23 +866,31 @@ let trusted_replay =
                                 (label ^ ": undamaged log recovered as damaged")
                             else Ok st'
                       in
-                      match recover "checked" ~trusted:false () with
+                      match recover "checked" ~trusted:false with
                       | Error m -> Disagree m
                       | Ok ref_st -> (
                           let ref_dir = Store.directory ref_st in
                           let obligations =
                             Translate.all schema.Schema.structure
                           in
-                          let compare_one (label, ingest) =
-                            match recover label ~trusted:true ~ingest () with
-                            | Error m -> Some m
-                            | Ok st' ->
+                          let applied st =
+                            (Store.stats st).Bounds_store.Checkpoint.applied
+                          in
+                          let label = "trusted" in
+                          match recover label ~trusted:true with
+                          | Error m -> Disagree m
+                          | Ok st' -> (
                                 let dir = Store.directory st' in
                                 let verdict =
                                   if Store.lsn st' <> Store.lsn ref_st then
                                     Some
                                       (Printf.sprintf "%s: lsn %d vs checked %d"
                                          label (Store.lsn st') (Store.lsn ref_st))
+                                  else if applied st' <> applied ref_st then
+                                    Some
+                                      (Printf.sprintf
+                                         "%s: applied %d vs checked %d" label
+                                         (applied st') (applied ref_st))
                                   else if
                                     not
                                       (Instance.equal (Directory.instance dir)
@@ -932,20 +939,10 @@ let trusted_replay =
                                               obligations)
                                 in
                                 Store.close st';
-                                verdict
-                          in
-                          let verdict =
-                            List.find_map compare_one
-                              [
-                                ("trusted-auto", `Auto);
-                                ("trusted-batch", `Batch);
-                                ("trusted-incremental", `Incremental);
-                              ]
-                          in
-                          Store.close ref_st;
-                          match verdict with
-                          | None -> Agree
-                          | Some m -> Disagree m)))));
+                                Store.close ref_st;
+                                match verdict with
+                                | None -> Agree
+                                | Some m -> Disagree m))))));
   }
 
 (* Interning must be semantically invisible: hash-consing changes

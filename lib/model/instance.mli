@@ -84,7 +84,9 @@ val update_entry : Entry.id -> (Entry.t -> Entry.t) -> t -> (t, error) result
 
 (** {1 Traversal} *)
 
+(** In increasing id order. *)
 val fold : (Entry.t -> 'a -> 'a) -> t -> 'a -> 'a
+
 val iter : (Entry.t -> unit) -> t -> unit
 
 (** Depth-first preorder over the whole forest; [depth] is 0 at roots. *)

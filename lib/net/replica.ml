@@ -68,7 +68,7 @@ type t = {
   mutable recovered : string;
   mutable last_error : string;
   mutable n_clients : int;
-  mutable n_reads : int;
+  n_reads : int Atomic.t;  (* bumped lock-free by reader threads *)
 }
 
 let locked t f =
@@ -81,7 +81,7 @@ let stats t =
   locked t (fun () ->
       {
         clients = t.n_clients;
-        reads = t.n_reads;
+        reads = Atomic.get t.n_reads;
         applied_lsn = t.applied_lsn;
         shipped_lsn = t.shipped_lsn;
         connected = t.connected;
@@ -326,12 +326,12 @@ let handle_request t ~slot = function
   | Proto.Query text ->
       with_snapshot t ~slot (fun snap ->
           let r = Server.serve_query snap text in
-          locked t (fun () -> t.n_reads <- t.n_reads + 1);
+          Atomic.incr t.n_reads;
           r)
   | Proto.Search { base; scope; filter } ->
       with_snapshot t ~slot (fun snap ->
           let r = Server.serve_search snap ~base ~scope ~filter in
-          locked t (fun () -> t.n_reads <- t.n_reads + 1);
+          Atomic.incr t.n_reads;
           r)
   | Proto.Stats -> Proto.Reply (stats_text (stats t))
   | Proto.Apply _ | Proto.Checkpoint | Proto.Subscribe _ ->
@@ -454,7 +454,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(max_clients = 16) ?sleep
       recovered = "fresh";
       last_error = "";
       n_clients = 0;
-      n_reads = 0;
+      n_reads = Atomic.make 0;
     }
   in
   (* Recover any store a previous incarnation left behind, so reads

@@ -91,10 +91,10 @@ type t = {
   mutable next_sid : int;  (* guarded by [m] *)
   mutable acceptor : Thread.t option;
   mutable writer : Thread.t option;
-  (* counters, guarded by [m] (read path takes the lock only to bump —
-     evaluation itself runs outside it) *)
+  (* counters, guarded by [m] except [n_reads], which the read path
+     bumps without the lock *)
   mutable n_clients : int;
-  mutable n_reads : int;
+  n_reads : int Atomic.t;
   mutable n_writes_ok : int;
   mutable n_writes_rejected : int;
   mutable n_batches : int;
@@ -132,7 +132,7 @@ let stats t =
   locked t (fun () ->
       {
         clients = t.n_clients;
-        reads = t.n_reads;
+        reads = Atomic.get t.n_reads;
         writes_ok = t.n_writes_ok;
         writes_rejected = t.n_writes_rejected;
         batches = t.n_batches;
@@ -438,12 +438,12 @@ let handle_request t ~slot = function
   | Proto.Query text ->
       with_snapshot t ~slot (fun snap ->
           let r = serve_query snap text in
-          locked t (fun () -> t.n_reads <- t.n_reads + 1);
+          Atomic.incr t.n_reads;
           r)
   | Proto.Search { base; scope; filter } ->
       with_snapshot t ~slot (fun snap ->
           let r = serve_search snap ~base ~scope ~filter in
-          locked t (fun () -> t.n_reads <- t.n_reads + 1);
+          Atomic.incr t.n_reads;
           r)
   | Proto.Stats -> Proto.Reply (stats_text (stats t))
   | (Proto.Apply _ | Proto.Checkpoint) as req -> enqueue t req
@@ -629,7 +629,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(batch_max = 64)
       acceptor = None;
       writer = None;
       n_clients = 0;
-      n_reads = 0;
+      n_reads = Atomic.make 0;
       n_writes_ok = 0;
       n_writes_rejected = 0;
       n_batches = 0;

@@ -11,7 +11,6 @@ type 'a t =
 
 let empty = Empty
 let is_empty t = t = Empty
-let singleton k v = Leaf (k, v)
 
 let[@inline] zero_bit k m = k land m = 0
 let[@inline] lowest_bit x = x land -x
@@ -43,6 +42,29 @@ let rec add k v = function
         else Branch (p, m, l, add k v r)
       else join k (Leaf (k, v)) p t
 
+let le_compare x y =
+  let d = x lxor y in
+  if d = 0 then 0 else if zero_bit x (lowest_bit d) then -1 else 1
+
+(* A sorted slice branches on the lowest bit its first and last keys
+   differ in; the keys with that bit clear are a prefix of the slice. *)
+let of_sorted keys values =
+  let rec build lo hi =
+    if hi - lo = 1 then Leaf (keys.(lo), values.(lo))
+    else
+      let m = lowest_bit (keys.(lo) lxor keys.(hi - 1)) in
+      let l = ref lo and h = ref (hi - 1) in
+      (* first index in (lo, hi - 1] with bit [m] set *)
+      while !h - !l > 1 do
+        let mid = (!l + !h) / 2 in
+        if zero_bit keys.(mid) m then l := mid else h := mid
+      done;
+      Branch (mask keys.(lo) m, m, build lo !h, build !h hi)
+  in
+  let n = Array.length keys in
+  if n <> Array.length values then invalid_arg "Pmap.of_sorted";
+  if n = 0 then Empty else build 0 n
+
 (* Smart constructor: collapse empty sides so the trie never holds a
    one-child branch. *)
 let branch p m l r =
@@ -58,21 +80,3 @@ let rec remove k = function
 
 let update k f t =
   match f (find_opt k t) with Some v -> add k v t | None -> remove k t
-
-let rec iter f = function
-  | Empty -> ()
-  | Leaf (k, v) -> f k v
-  | Branch (_, _, l, r) ->
-      iter f l;
-      iter f r
-
-let rec fold f t acc =
-  match t with
-  | Empty -> acc
-  | Leaf (k, v) -> f k v acc
-  | Branch (_, _, l, r) -> fold f r (fold f l acc)
-
-let rec cardinal = function
-  | Empty -> 0
-  | Leaf _ -> 1
-  | Branch (_, _, l, r) -> cardinal l + cardinal r

@@ -12,7 +12,6 @@ type 'a t
 
 val empty : 'a t
 val is_empty : 'a t -> bool
-val singleton : int -> 'a -> 'a t
 val mem : int -> 'a t -> bool
 val find_opt : int -> 'a t -> 'a option
 
@@ -26,8 +25,13 @@ val remove : int -> 'a t -> 'a t
     [None] removes. *)
 val update : int -> ('a option -> 'a option) -> 'a t -> 'a t
 
-val iter : (int -> 'a -> unit) -> 'a t -> unit
-val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+(** The trie's in-order key sequence: keys compare by their lowest
+    differing bit, clear first. *)
+val le_compare : int -> int -> int
 
-(** O(n). *)
-val cardinal : 'a t -> int
+(** [of_sorted keys values] binds [keys.(i)] to [values.(i)] in one
+    pass, allocating each node once; the result is structurally equal to
+    folding {!add} over the bindings.  [keys] must be distinct,
+    non-negative and sorted by {!le_compare}.  Raises [Invalid_argument]
+    if the arrays differ in length. *)
+val of_sorted : int array -> 'a array -> 'a t

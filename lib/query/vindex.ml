@@ -48,9 +48,7 @@ type range_idx = {
    and in exchange the version step patches only the postings of
    attributes actually touched by Δ.
 
-   A posting set has three representations.  [Building] — a count plus
-   a newest-first cons list — exists only inside a bulk build ({!create}
-   freezes every key before publishing).  [Frozen] — one sorted id
+   A posting set has two representations.  [Frozen] — one sorted id
    array, compact and cache-friendly to sweep — is what the planner's
    hot path (bitset fills, cardinalities) runs on.  [Patched] — a frozen
    base plus a bounded overlay of pending adds and deletes — is what a
@@ -63,7 +61,6 @@ type range_idx = {
    and the rebuild cost is amortized over [patch_cap] transactions. *)
 type postings =
   | Frozen of Entry.id array (* sorted; duplicates kept (multi-valued) *)
-  | Building of int * Entry.id list (* count, ids newest-first *)
   | Patched of patched
 
 and patched = {
@@ -91,64 +88,128 @@ type t = {
 
 let p_count = function
   | Frozen a -> Array.length a
-  | Building (c, _) -> c
   | Patched p -> p.p_live
 
 let p_iter f = function
   | Frozen a -> Array.iter f a
-  | Building (_, l) -> List.iter f l
   | Patched { p_base; p_dels; p_adds; _ } ->
       if Pmap.is_empty p_dels then Array.iter f p_base
       else Array.iter (fun id -> if not (Pmap.mem id p_dels) then f id) p_base;
       List.iter f p_adds
 
-let thaw p =
-  match p with
-  | Frozen a -> (Array.length a, Array.to_list a)
-  | Building (c, l) -> (c, l)
-  | Patched { p_live; _ } ->
-      let l = ref [] in
-      p_iter (fun id -> l := id :: !l) p;
-      (p_live, !l)
+(* {2 Bulk build} *)
 
-let freeze = function
-  | (Frozen _ | Patched _) as p -> p
-  | Building (_, l) ->
-      let a = Array.of_list l in
-      Array.sort Int.compare a;
-      Frozen a
+let append (buf, len) x =
+  if !len = Array.length !buf then
+    buf := Array.append !buf (Array.make (!len + 64) 0);
+  !buf.(!len) <- x;
+  incr len
 
-let push_tbl tbl k id =
-  match Hashtbl.find_opt tbl k with
-  | Some p ->
-      let c, l = thaw p in
-      Hashtbl.replace tbl k (Building (c + 1, id :: l))
-  | None -> Hashtbl.replace tbl k (Building (1, [ id ]))
+let bit_length x =
+  let rec go w = if x lsr w = 0 then w else go (w + 1) in
+  go 0
+
+(* [k]'s low [w] bits in reverse order: ascending order on reversed keys
+   is {!Pmap.le_compare} order on the keys. *)
+let rev_bits w k =
+  let r = ref 0 in
+  for i = 0 to w - 1 do
+    if k land (1 lsl i) <> 0 then r := !r lor (1 lsl (w - 1 - i))
+  done;
+  !r
+
+(* Ascending merge sort of an int array: insertion-sorted runs of 16,
+   then bottom-up merges through one scratch array.  Each comparison is
+   one machine compare, where [Array.stable_sort] calls a closure. *)
+let sort_ints a =
+  let n = Array.length a in
+  for r = 0 to (n - 1) / 16 do
+    for i = (16 * r) + 1 to Int.min n ((16 * r) + 16) - 1 do
+      let x = a.(i) and j = ref (i - 1) in
+      while !j >= 16 * r && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  done;
+  let src = ref a and dst = ref (Array.make n 0) and w = ref 16 in
+  while !w < n do
+    let s = !src and d = !dst in
+    for blk = 0 to (n - 1) / (2 * !w) do
+      let lo = 2 * !w * blk in
+      let mid = Int.min n (lo + !w) and hi = Int.min n (lo + (2 * !w)) in
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !j >= hi || (!i < mid && s.(!i) <= s.(!j)) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done
+    done;
+    src := d;
+    dst := s;
+    w := 2 * !w
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
+
+(* [create] packs each posting into one int, intern key above the
+   entry's ordinal (entries are scanned in increasing id order, so
+   [ids.(ordinal)] ascends with the ordinal; both stay far below 2^31),
+   and sorts them once.  With the key bits reversed, keys sort in
+   {!Pmap.le_compare} order, the trie's in-order sequence, and each
+   key's postings by id, duplicates kept: each run is one [Frozen]
+   posting, and {!Pmap.of_sorted} builds the table. *)
+let table_of_postings ~ow ids (buf, len) =
+  let a = Array.sub !buf 0 !len and low = (1 lsl ow) - 1 in
+  let kw = bit_length (Array.fold_left Int.max 0 a lsr ow) in
+  let rev x = (rev_bits kw (x lsr ow) lsl ow) lor (x land low) in
+  Array.iteri (fun i x -> a.(i) <- rev x) a;
+  sort_ints a;
+  let keys = ref [] and runs = ref [] and i = ref 0 in
+  while !i < !len do
+    let rk = a.(!i) lsr ow and j = ref (!i + 1) in
+    while !j < !len && a.(!j) lsr ow = rk do incr j done;
+    let at = !i in
+    keys := rev_bits kw rk :: !keys;
+    let posting d = ids.(a.(at + d) land low) in
+    runs := Frozen (Array.init (!j - at) posting) :: !runs;
+    i := !j
+  done;
+  Pmap.of_sorted
+    (Array.of_list (List.rev !keys))
+    (Array.of_list (List.rev !runs))
 
 let create ix =
-  let n = Index.n ix in
-  Index.materialize ix;
-  (* Pre-sized: one eq bucket per entry-value pair is the common case
-     (duplicate pairs only shrink it), so seed with the entry count
-     instead of growing through doublings from a constant. *)
-  let eq = Hashtbl.create (max 64 (2 * n)) and present = Hashtbl.create (max 16 n) in
-  for r = 0 to n - 1 do
-    let e = Index.entry_of_rank ix r in
-    let id = Entry.id e in
-    List.iter
-      (fun (a, v) -> push_tbl eq (eq_key (Attr.to_string a) (norm (Value.to_string v))) id)
-      (Entry.pairs e);
-    Attr.Set.iter
-      (fun a -> push_tbl present (attr_key (Attr.to_string a)) id)
-      (Entry.attributes e)
-  done;
-  (* snapshot-build time is freeze time: every posting list becomes one
-     sorted id array before the first lookup runs *)
-  let to_pmap tbl = Hashtbl.fold (fun k p m -> Pmap.add k (freeze p) m) tbl Pmap.empty in
+  let inst = Index.instance ix in
+  let ids = Array.make (Instance.size inst) 0 in
+  let ow = bit_length (Array.length ids) and ord = ref 0 in
+  let posting k =
+    assert (k lsr (62 - ow) = 0);
+    (k lsl ow) lor !ord
+  in
+  let eq = (ref [||], ref 0) and present = (ref [||], ref 0) in
+  Instance.iter
+    (fun e ->
+      ids.(!ord) <- Entry.id e;
+      List.iter
+        (fun (a, v) ->
+          let k = eq_key (Attr.to_string a) (norm (Value.to_string v)) in
+          append eq (posting k))
+        (Entry.pairs e);
+      Attr.Set.iter
+        (fun a -> append present (posting (attr_key (Attr.to_string a))))
+        (Entry.attributes e);
+      incr ord)
+    inst;
   {
     ix;
-    eq = to_pmap eq;
-    present = to_pmap present;
+    eq = table_of_postings ~ow ids eq;
+    present = table_of_postings ~ow ids present;
     lock = Mutex.create ();
     ranges = Pmap.empty;
     trigrams = Pmap.empty;
@@ -220,7 +281,7 @@ let build_range t a =
   in
   let sorted cmp l =
     let arr = Array.of_list l in
-    Array.sort cmp arr;
+    Array.stable_sort cmp arr;
     (Array.map fst arr, Array.map snd arr)
   in
   let num_keys, num_ids = sorted by_int !num in
@@ -367,9 +428,9 @@ let card_substr t a sub =
 
 (* {2 Incremental maintenance} *)
 
-(* Counts equal posting multiplicities by construction (one cons per
-   push, one array slot per frozen posting), so a multi-valued entry
-   contributing several postings to one key is fully unindexed here.
+(* Counts equal posting multiplicities by construction (one array slot or
+   overlay add per push), so a multi-valued entry contributing several
+   postings to one key is fully unindexed here.
 
    A [Frozen] posting never thaws to a list: below [patch_min] it is
    re-spliced in place (binary search plus one blit), above it the edit
@@ -377,8 +438,8 @@ let card_substr t a sub =
    person carries [uid] and [name], so the [present] rows hold |D| ids)
    costs O(log |D|) per transaction instead of the O(|D|) copy or the
    O(|D| log |D|) thaw-and-resort that made writes scale with directory
-   size.  Only [Building] postings (bulk-build residue) still need
-   {!Builder.seal}'s re-freeze. *)
+   size.  A key the transaction creates starts as a one-slot [Frozen]
+   array, so a sealed version holds nothing to re-freeze. *)
 
 (* Splice threshold: smaller arrays are cheaper to copy than to wrap in
    an overlay, and staying [Frozen] keeps their reads branch-free. *)
@@ -421,7 +482,7 @@ let occ_range a id =
    dead ids while merging in the (sorted) adds. *)
 let rebuild { p_base; p_dels; p_adds; p_live; _ } =
   let add = Array.of_list p_adds in
-  Array.sort Int.compare add;
+  Array.stable_sort Int.compare add;
   let na = Array.length add and nb = Array.length p_base in
   let out = Array.make p_live 0 in
   let j = ref 0 and k = ref 0 in
@@ -470,8 +531,7 @@ let push m k id =
                  p_edits = p.p_edits + 1;
                  p_live = p.p_live + 1;
                })
-      | Some (Building (c, l)) -> Some (Building (c + 1, id :: l))
-      | None -> Some (Building (1, [ id ])))
+      | None -> Some (Frozen [| id |]))
     m
 
 let remove_from m k id =
@@ -537,11 +597,7 @@ let remove_from m k id =
                      p_adds = adds;
                      p_edits = p.p_edits - !ra + de;
                      p_live = live;
-                   })
-      | Some (Building (_, l)) -> (
-          match List.filter (fun i -> i <> id) l with
-          | [] -> None
-          | keep -> Some (Building (List.length keep, keep))))
+                   }))
     m
 
 module Builder = struct
@@ -553,11 +609,6 @@ module Builder = struct
     mutable b_present : postings Pmap.t;
     mutable b_ranges : range_idx Pmap.t;
     mutable b_trigrams : (string, Entry.id array) Hashtbl.t Pmap.t;
-    (* Keys edited this transaction, re-frozen at seal (a no-op for
-       the Frozen/Patched splices; it catches keys first created here,
-       which are Building lists). *)
-    touched_eq : (int, unit) Hashtbl.t;
-    touched_present : (int, unit) Hashtbl.t;
     (* Entries inserted earlier in this same transaction are not in the
        base index; keep them at hand so a later delete can unindex
        them. *)
@@ -578,8 +629,6 @@ module Builder = struct
       b_present = base.present;
       b_ranges = ranges;
       b_trigrams = trigrams;
-      touched_eq = Hashtbl.create 16;
-      touched_present = Hashtbl.create 16;
       added = Hashtbl.create 16;
     }
 
@@ -593,14 +642,12 @@ module Builder = struct
     List.iter
       (fun (a, v) ->
         let k = eq_key (Attr.to_string a) (norm (Value.to_string v)) in
-        Hashtbl.replace b.touched_eq k ();
         b.b_eq <- push b.b_eq k id)
       (Entry.pairs entry);
     Attr.Set.iter
       (fun a ->
         let ak = attr_key (Attr.to_string a) in
         dirty b ak;
-        Hashtbl.replace b.touched_present ak ();
         b.b_present <- push b.b_present ak id)
       (Entry.attributes entry)
 
@@ -616,7 +663,6 @@ module Builder = struct
         match eq_key_opt (Attr.to_string a) (norm (Value.to_string v)) with
         | None -> ()
         | Some k ->
-            Hashtbl.replace b.touched_eq k ();
             b.b_eq <- remove_from b.b_eq k id)
       (Entry.pairs e);
     Attr.Set.iter
@@ -625,7 +671,6 @@ module Builder = struct
         | None -> ()
         | Some ak ->
             dirty b ak;
-            Hashtbl.replace b.touched_present ak ();
             b.b_present <- remove_from b.b_present ak id)
       (Entry.attributes e)
 
@@ -634,15 +679,10 @@ module Builder = struct
     | Update.Delete id -> delete b id
 
   let seal ~index b =
-    let refreeze touched m =
-      Hashtbl.fold
-        (fun k () m -> Pmap.update k (Option.map freeze) m)
-        touched m
-    in
     {
       ix = index;
-      eq = refreeze b.touched_eq b.b_eq;
-      present = refreeze b.touched_present b.b_present;
+      eq = b.b_eq;
+      present = b.b_present;
       lock = Mutex.create ();
       ranges = b.b_ranges;
       trigrams = b.b_trigrams;
@@ -653,11 +693,3 @@ let apply ~index ops t =
   let b = Builder.of_version t in
   List.iter (Builder.apply_op b) ops;
   Builder.seal ~index b
-
-let replace_entry ~index old_e new_e t =
-  apply ~index
-    [
-      Update.Delete (Entry.id old_e);
-      Update.Insert { parent = None; entry = new_e };
-    ]
-    t

@@ -59,21 +59,20 @@ val card_substr : t -> Attr.t -> Filter.substring -> int
 
     Postings are entry ids internally, so an update invalidates only the
     keys it touches — not, as a rank-based table would, every posting
-    behind the lowest shifted rank.  At snapshot-build time ({!create})
-    every posting set is frozen into one sorted id array — the compact,
-    cache-friendly representation the planner's bitset fills and
-    cardinality probes sweep.  A {!Builder} thaws exactly the keys Δ
-    touches back into count+list form, the mutable build representation,
-    and {!Builder.seal} re-freezes that touched set — so a {e published}
-    version only ever holds frozen postings, no matter how many update
-    transactions produced it. *)
+    behind the lowest shifted rank.  {!create} builds every posting set
+    as one sorted id array — the compact, cache-friendly representation
+    the planner's bitset fills and cardinality probes sweep — in one
+    sort of all (key, id) pairs.  A {!Builder} splices each touched key
+    in place, or, for a dense key, into a bounded overlay that folds
+    back into one sorted array every few hundred edits, so a version
+    step stays O(log |D|) per touched key. *)
 
 (** Accumulates one transaction's worth of posting edits against a base
     version.  Mirrors {!Index.Builder}: [of_version] is O(1) (the
     persistent tables are shared, the lazy per-attribute structures
     carry over minus the attributes Δ dirties), each op costs
     O(pairs · (log + postings-per-touched-key)), and [seal] publishes an
-    immutable version re-freezing only the touched keys.  A builder is
+    immutable version in O(1).  A builder is
     single-transaction scratch state: not thread-safe, and unusable
     after [seal]. *)
 module Builder : sig
@@ -95,11 +94,6 @@ end
 (** [apply ~index ops t] — one-shot builder round-trip: the value index
     for the post-transaction version.  [index] must be the matching
     evaluation index (e.g. [Index.apply ops (Vindex.index t)]).
-    O(|Δ| · log + touched-key re-freeze); everything untouched is shared
+    O(|Δ| · log + touched-key splices); everything untouched is shared
     with [t]. *)
 val apply : index:Index.t -> Update.op list -> t -> t
-
-(** [replace_entry ~index old_e new_e t] — attribute-level modification:
-    unindex [old_e]'s pairs, index [new_e]'s.  [index] is the
-    post-modification evaluation index. *)
-val replace_entry : index:Index.t -> Entry.t -> Entry.t -> t -> t

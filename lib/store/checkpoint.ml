@@ -14,23 +14,18 @@ type meta = {
 let format_tag = "bounds-store checkpoint v1"
 
 let write io path meta inst =
-  let ids = ref [] in
-  Instance.iter_preorder (fun ~depth:_ e -> ids := Entry.id e :: !ids) inst;
-  let ids = List.rev !ids in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (format_tag ^ "\n");
-  Buffer.add_string buf (Printf.sprintf "lsn: %d\n" meta.lsn);
-  Buffer.add_string buf (Printf.sprintf "entries: %d\n" meta.entries);
-  Buffer.add_string buf
-    (Printf.sprintf "stats: applied %d rejected %d queries %d\n" meta.applied
-       meta.rejected meta.queries);
-  Buffer.add_string buf
-    (Printf.sprintf "memo: hits %d misses %d entries %d\n" meta.memo_hits
-       meta.memo_misses meta.memo_entries);
-  Buffer.add_string buf
-    ("ids:"
-    ^ String.concat "" (List.map (Printf.sprintf " %d") ids)
-    ^ "\n\n");
+  Printf.bprintf buf "%s\nlsn: %d\nentries: %d\n" format_tag meta.lsn
+    meta.entries;
+  Printf.bprintf buf "stats: applied %d rejected %d queries %d\n" meta.applied
+    meta.rejected meta.queries;
+  Printf.bprintf buf "memo: hits %d misses %d entries %d\n" meta.memo_hits
+    meta.memo_misses meta.memo_entries;
+  Buffer.add_string buf "ids:";
+  Instance.iter_preorder
+    (fun ~depth:_ e -> Printf.bprintf buf " %d" (Entry.id e))
+    inst;
+  Buffer.add_string buf "\n\n";
   Buffer.add_string buf (Bounds_codec.Ldif.to_string inst);
   let tmp = path ^ ".new" in
   io.Io.write tmp (Frame.encode (Buffer.contents buf));
@@ -77,6 +72,16 @@ let int_field name line =
   | None -> None
   | Some v -> int_of_string_opt v
 
+(* ["name: l1 v1 l2 v2 l3 v3"], with exactly those labels, as
+   [(v1, v2, v3)] *)
+let labelled3 name (l1, l2, l3) line =
+  match Option.map (String.split_on_char ' ') (field name line) with
+  | Some [ k1; a; k2; b; k3; c ] when k1 = l1 && k2 = l2 && k3 = l3 -> (
+      match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c) with
+      | Some a, Some b, Some c -> Ok (a, b, c)
+      | _ -> Error (Printf.sprintf "bad %s line" name))
+  | _ -> Error (Printf.sprintf "bad %s line" name)
+
 let parse_header lines =
   match lines with
   | tag :: lsn :: entries :: stats :: memo :: ids :: [] ->
@@ -89,30 +94,10 @@ let parse_header lines =
           Option.to_result ~none:"bad entries line" (int_field "entries" entries)
         in
         let* applied, rejected, queries =
-          match field "stats" stats with
-          | Some s -> (
-              match String.split_on_char ' ' s with
-              | [ "applied"; a; "rejected"; r; "queries"; q ] -> (
-                  match
-                    (int_of_string_opt a, int_of_string_opt r, int_of_string_opt q)
-                  with
-                  | Some a, Some r, Some q -> Ok (a, r, q)
-                  | _ -> Error "bad stats line")
-              | _ -> Error "bad stats line")
-          | None -> Error "bad stats line"
+          labelled3 "stats" ("applied", "rejected", "queries") stats
         in
         let* memo_hits, memo_misses, memo_entries =
-          match field "memo" memo with
-          | Some s -> (
-              match String.split_on_char ' ' s with
-              | [ "hits"; h; "misses"; m; "entries"; e ] -> (
-                  match
-                    (int_of_string_opt h, int_of_string_opt m, int_of_string_opt e)
-                  with
-                  | Some h, Some m, Some e -> Ok (h, m, e)
-                  | _ -> Error "bad memo line")
-              | _ -> Error "bad memo line")
-          | None -> Error "bad memo line"
+          labelled3 "memo" ("hits", "misses", "entries") memo
         in
         let* ids =
           match field "ids" ids with

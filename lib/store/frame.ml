@@ -1,26 +1,23 @@
 (* --- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) ------------------- *)
 
+(* On native ints: a plain [int array] table, no allocation per byte. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i = (Int32.to_int !c lxor Char.code ch) land 0xff in
-      c := Int32.logxor (Int32.shift_right_logical !c 8) table.(i))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to String.length s - 1 do
+    c :=
+      (!c lsr 8)
+      lxor Array.unsafe_get crc_table
+             ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+  done;
+  !c lxor 0xFFFFFFFF
 
 (* --- framing ------------------------------------------------------------ *)
 
@@ -29,7 +26,7 @@ let header_size = 8
 let encode payload =
   let b = Bytes.create (header_size + String.length payload) in
   Bytes.set_int32_le b 0 (Int32.of_int (String.length payload));
-  Bytes.set_int32_le b 4 (crc32 payload);
+  Bytes.set_int32_le b 4 (Int32.of_int (crc32 payload));
   Bytes.blit_string payload 0 b header_size (String.length payload);
   Bytes.to_string b
 
@@ -46,7 +43,7 @@ let read s off =
   else
     let b = Bytes.unsafe_of_string s in
     let len = Int32.to_int (Bytes.get_int32_le b off) in
-    let crc = Bytes.get_int32_le b (off + 4) in
+    let crc = Int32.to_int (Bytes.get_int32_le b (off + 4)) land 0xFFFFFFFF in
     if len < 0 then Torn { offset = off; reason = "corrupt frame length" }
     else if off + header_size + len > n then
       Torn { offset = off; reason = "truncated frame payload" }

@@ -6,8 +6,9 @@
     never raises on damaged input, it reports {e where} the valid
     prefix ends and why, so recovery can truncate there. *)
 
-(** CRC-32 of [s], as the usual reflected polynomial 0xEDB88320. *)
-val crc32 : string -> int32
+(** CRC-32 of [s], as the usual reflected polynomial 0xEDB88320, in
+    [0, 2{^32}). *)
+val crc32 : string -> int
 
 val header_size : int
 

@@ -403,23 +403,14 @@ type replay_state = {
   mutable segments : int;  (** delta segment markers seen *)
 }
 
-(* Stream the log once ({!Wal.fold} — O(record) memory) and replay each
+(* Stream a file once ({!Wal.fold} — O(record) memory) and replay each
    record under the lsn discipline: lsn ≤ current is a duplicate the
    checkpoint already covers (left by a crash between checkpoint-rename
    and log-reset) and is skipped; lsn = current+1 is applied; anything
    else — a gap, or a record that no longer applies — marks the damage
-   point and ends replay.
-
-   [trusted] replays through {!Directory.Bulk}: acknowledged records
-   passed admission when they were logged and the CRC already vouches
-   they are the same bytes, so legality is not re-checked and index
-   maintenance is batched past the cost crossover.  [trusted:false]
-   keeps the original checked path ({!Directory.apply}, which re-runs
-   admission per record) — the differential twin and benchmark
-   baseline. *)
-(* One replay pass shared by the delta chain and the log: both files
-   hold the same CRC-framed records, and one lsn discipline covers the
-   whole fold — base checkpoint, then every delta segment in append
+   point and ends replay.  One pass serves the delta chain and the log:
+   both hold the same CRC-framed records, and one lsn discipline covers
+   the whole fold — base checkpoint, then every delta segment in append
    order, then the log.  Segment markers (lsn 0, no ops) are counted,
    not replayed. *)
 let replay_file st ~apply_record io file =
@@ -453,47 +444,51 @@ let replay_file st ~apply_record io file =
             })
     ()
 
-let replay_log ~trusted ~ingest io dir0 ~lsn:lsn0 =
-  let bulk =
-    if trusted then Some (Directory.Bulk.start ~mode:ingest dir0) else None
+(* Fold the delta chain, then the log, through [apply_record]: the
+   recovery report, the last lsn replayed, and where the valid prefix of
+   the log and of the chain ends.  Nothing is truncated here — the
+   caller cuts the files once it knows which replay stands. *)
+let replay_log ~apply_record io ~lsn =
+  let st = { cur = lsn; replayed = 0; skipped = 0; broke = None; segments = 0 } in
+  let tail_of (folded : unit Wal.folded) =
+    match if st.broke <> None then st.broke else folded.truncated with
+    | None -> (Clean, folded.end_offset)
+    | Some { Wal.offset; reason } -> (Recovered_at { offset; reason }, offset)
   in
-  let checked_dir = ref dir0 in
-  let apply_record ops =
-    match bulk with
-    | Some b -> Directory.Bulk.add b ops
-    | None -> (
-        match Directory.apply !checked_dir ops with
-        | dir, Admission.Accepted _ ->
-            checked_dir := dir;
-            Ok ()
-        | _, Admission.Rejected { reason; _ } -> Error reason)
+  let delta_tail, delta_end =
+    tail_of (replay_file st ~apply_record io delta_file)
   in
-  (* Delta chain first: it holds the older folded segments. *)
-  let st = { cur = lsn0; replayed = 0; skipped = 0; broke = None; segments = 0 } in
-  let delta_folded = replay_file st ~apply_record io delta_file in
   let delta_replayed = st.replayed and delta_skipped = st.skipped in
-  let delta_broke =
-    match st.broke with
-    | Some _ as b -> b
-    | None -> delta_folded.Wal.truncated
-  in
   (* A damaged delta tail ends the chain; the log may still bridge the
      lost suffix (a torn segment append leaves the log un-reset, so the
      same records replay from there as duplicates-then-fresh). *)
   st.broke <- None;
-  let folded = replay_file st ~apply_record io wal_file in
-  let dir =
-    match bulk with Some b -> Directory.Bulk.finish b | None -> !checked_dir
-  in
-  let wal_replayed = st.replayed - delta_replayed
-  and wal_skipped = st.skipped - delta_skipped in
-  ( dir,
-    `Wal (st.cur, wal_replayed, wal_skipped, st.broke, folded),
-    `Delta (delta_replayed, delta_broke, delta_folded.Wal.end_offset, st.segments)
-  )
+  let tail, wal_end = tail_of (replay_file st ~apply_record io wal_file) in
+  ( {
+      checkpoint_lsn = lsn;
+      replayed = st.replayed - delta_replayed;
+      skipped = st.skipped - delta_skipped;
+      tail;
+      delta_segments = st.segments;
+      delta_replayed;
+      delta_tail;
+    },
+    st.cur,
+    wal_end,
+    delta_end )
 
+(* Recovery builds the live session once.  Trusted (the default): fold
+   the delta chain and the log into the checkpoint's plain instance with
+   {!Update.apply} — every logged record passed admission before it was
+   acknowledged and its CRC frame vouches for the bytes — then run one
+   {!Directory.open_}, whose admission scan covers the recovered state
+   (so a [load ~trust] misuse is still caught here).  If that scan
+   fails, the checked replay decides: it opens the checkpoint and
+   re-admits record by record through {!Directory.apply}, truncating at
+   the first rejection — the outcome the checked path alone would
+   give.  Replayed records count as applied in {!stats} either way. *)
 let open_ ?extensions ?(auto_checkpoint = 0) ?(delta_chain = 8)
-    ?(trusted = true) ?(ingest = `Auto) io =
+    ?(trusted = true) io =
   match io.Io.read schema_file with
   | None -> Error (Not_a_store ("missing " ^ schema_file))
   | Some spec -> (
@@ -505,57 +500,67 @@ let open_ ?extensions ?(auto_checkpoint = 0) ?(delta_chain = 8)
             Checkpoint.read io checkpoint_file ~typing:schema.Schema.typing
           with
           | Error m -> Error (Corrupt (checkpoint_file ^ ": " ^ m))
-          | Ok (meta, inst) -> (
+          | Ok (meta, inst0) -> (
               let hook = ref (fun _ _ -> ()) in
-              match
+              let session inst =
                 Directory.open_ ?extensions
                   ~store:(fun ops d -> !hook ops d)
                   schema inst
-              with
-              | Error vs -> Error (Illegal vs)
-              | Ok dir0 ->
-                  let counted = Directory.stats dir0 in
-                  let ( dir,
-                        `Wal (cur, wal_replayed, wal_skipped, wal_broke, folded),
-                        `Delta (delta_replayed, delta_broke, delta_end, segments)
-                      ) =
-                    replay_log ~trusted ~ingest io dir0
-                      ~lsn:meta.Checkpoint.lsn
+              in
+              let lsn = meta.Checkpoint.lsn in
+              let checked () =
+                match session inst0 with
+                | Error vs -> Error (Illegal vs)
+                | Ok dir0 ->
+                    (* every version shares one counter record: read the
+                       baseline before replay moves it *)
+                    let counted = Directory.stats dir0 in
+                    let dir = ref dir0 in
+                    let apply_record ops =
+                      match Directory.apply !dir ops with
+                      | d, Admission.Accepted _ ->
+                          dir := d;
+                          Ok ()
+                      | _, Admission.Rejected { reason; _ } -> Error reason
+                    in
+                    let r = replay_log ~apply_record io ~lsn in
+                    Ok (!dir, counted, r)
+              in
+              let build_once () =
+                let inst = ref inst0 in
+                let apply_record ops =
+                  match Update.apply !inst ops with
+                  | Ok i ->
+                      inst := i;
+                      Ok ()
+                  | Error msg -> Error (Monitor.Bad_ops msg)
+                in
+                let ((report, _, _, _) as r) =
+                  replay_log ~apply_record io ~lsn
+                in
+                match session !inst with
+                | Error _ -> checked ()
+                | Ok dir ->
+                    (* the fresh session counted none of the replayed
+                       records; the baseline absorbs them *)
+                    let s = Directory.stats dir in
+                    let applied =
+                      s.applied - report.delta_replayed - report.replayed
+                    in
+                    Ok (dir, { s with Directory.applied }, r)
+              in
+              match if trusted then build_once () else checked () with
+              | Error _ as e -> e
+              | Ok (dir, counted, (report, cur, wal_end, delta_end)) ->
+                  (* cut each damaged file back to its valid prefix, so
+                     the next append extends whole records, not junk *)
+                  let cut file = function
+                    | Clean -> ()
+                    | Recovered_at { offset; _ } ->
+                        Wal.truncate io file ~keep:offset
                   in
-                  let delta_tail, delta_end =
-                    match delta_broke with
-                    | None -> (Clean, delta_end)
-                    | Some { Wal.offset; reason } ->
-                        (* cut the chain back to whole segments/records so
-                           the next segment append extends valid frames *)
-                        Wal.truncate io delta_file ~keep:offset;
-                        (Recovered_at { offset; reason }, offset)
-                  in
-                  let truncated =
-                    match wal_broke with
-                    | Some _ -> wal_broke
-                    | None -> folded.Wal.truncated
-                  in
-                  let tail, valid_end =
-                    match truncated with
-                    | None -> (Clean, folded.Wal.end_offset)
-                    | Some { Wal.offset; reason } ->
-                        (* cut the log back to the durable prefix so the
-                           next append extends valid records, not junk *)
-                        Wal.truncate io wal_file ~keep:offset;
-                        (Recovered_at { offset; reason }, offset)
-                  in
-                  let report =
-                    {
-                      checkpoint_lsn = meta.Checkpoint.lsn;
-                      replayed = wal_replayed;
-                      skipped = wal_skipped;
-                      tail;
-                      delta_segments = segments;
-                      delta_replayed;
-                      delta_tail;
-                    }
-                  in
+                  cut delta_file report.delta_tail;
+                  cut wal_file report.tail;
                   let t =
                     {
                       io;
@@ -565,9 +570,9 @@ let open_ ?extensions ?(auto_checkpoint = 0) ?(delta_chain = 8)
                       hook;
                       dir;
                       lsn_v = cur;
-                      wal_bytes_v = valid_end;
-                      wal_records_v = wal_replayed + wal_skipped;
-                      chain_len = segments;
+                      wal_bytes_v = wal_end;
+                      wal_records_v = report.replayed + report.skipped;
+                      chain_len = report.delta_segments;
                       delta_bytes_v = delta_end;
                       base = meta;
                       counted;

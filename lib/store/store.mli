@@ -99,27 +99,26 @@ val init :
   (t, error) result
 
 (** [open_ io] recovers a store: checkpoint load + one streaming pass
-    over the log ({!Wal.fold} — O(record) memory however long the log),
-    then truncates any damaged tail so subsequent appends extend the
-    durable prefix.  The returned {!report} says how far recovery got.
+    over the delta chain and the log ({!Wal.fold} — O(record) memory
+    however long the log), then truncates any damaged tail so subsequent
+    appends extend the durable prefix.  The returned {!report} says how
+    far recovery got; replayed records count as applied in {!stats}.
 
-    [trusted] (default [true]) replays the tail through the trusted fast
-    path ({!Directory.replay} / {!Directory.Bulk}): every logged record
-    passed admission before it was acknowledged and the CRC frame
-    vouches the bytes are unchanged, so legality is not re-checked and
-    index maintenance is batched past a cost crossover — recovery is
-    codec-decode plus state maintenance, O(|D| + Δ) instead of
-    O(Δ · re-admission).  [trusted:false] re-runs full admission per
-    record (the original path, kept as the differential twin and
-    benchmark baseline); [ingest] forces the trusted path's batching
-    regime (testing/benchmarks — the default [`Auto] applies the
-    crossover). *)
+    [trusted] (default [true]) folds the tail into the checkpoint's
+    instance with {!Update.apply} — every logged record passed admission
+    before it was acknowledged, and the CRC frame vouches for the bytes —
+    then builds the session once with {!Directory.open_}, whose admission
+    scan runs on the {e recovered} state: O(|D| + Δ).  If that scan
+    fails (an illegal dump committed by [load ~trust]), the checked
+    replay decides, with exactly its outcome: [Illegal] for an illegal
+    checkpoint, or truncation at the first record admission rejects.
+    [trusted:false] runs that checked replay directly — admission per
+    record, the differential twin and benchmark baseline. *)
 val open_ :
   ?extensions:bool ->
   ?auto_checkpoint:int ->
   ?delta_chain:int ->
   ?trusted:bool ->
-  ?ingest:Directory.Bulk.mode ->
   Io.t ->
   (t * report, error) result
 

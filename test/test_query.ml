@@ -764,6 +764,28 @@ let prop_bitset_splice =
       && Bitset.elements got = Bitset.elements want
       && Bitset.length got = n - removed + inserted)
 
+(* --- Pmap bulk construction -------------------------------------------------- *)
+
+(* Key sets from empty and singleton up, over small dense ranges (deep
+   shared prefixes) and the full 30-bit range. *)
+let arb_pmap_keys =
+  QCheck.make
+    ~print:(fun ks -> String.concat " " (List.map string_of_int ks))
+    QCheck.Gen.(
+      oneof [ return 0; return 1; int_range 2 200 ] >>= fun n ->
+      oneof [ int_bound 64; int_bound 4096; int_bound ((1 lsl 30) - 1) ]
+      >>= fun bound -> list_repeat n (int_bound bound))
+
+let prop_pmap_of_sorted =
+  QCheck.Test.make ~name:"pmap of_sorted = fold of add" ~count:500
+    arb_pmap_keys (fun ks ->
+      let keys = Array.of_list (List.sort_uniq Pmap.le_compare ks) in
+      let values = Array.map (fun k -> k * 3) keys in
+      let folded =
+        Array.fold_left (fun m k -> Pmap.add k (k * 3) m) Pmap.empty keys
+      in
+      Pmap.of_sorted keys values = folded)
+
 (* --- search vs reference --------------------------------------------------- *)
 
 let arb_search =
@@ -893,6 +915,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_bitset_model;
           QCheck_alcotest.to_alcotest prop_bitset_word_kernels;
           QCheck_alcotest.to_alcotest prop_bitset_splice;
+          QCheck_alcotest.to_alcotest prop_pmap_of_sorted;
           QCheck_alcotest.to_alcotest prop_search_reference;
           QCheck_alcotest.to_alcotest prop_extent_brackets_subtree;
         ] );

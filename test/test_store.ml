@@ -80,6 +80,29 @@ let test_frame_torn () =
     | Frame.Record _ -> Alcotest.failf "header flip at byte %d went unnoticed" i
   done
 
+(* CRC-32 one bit at a time, with no table: the reference the table-
+   driven [Frame.crc32] must match. *)
+let crc32_bitwise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_check_value () =
+  (* the standard CRC-32/ISO-HDLC check value *)
+  check_int "crc32 \"123456789\"" 0xCBF43926 (Frame.crc32 "123456789");
+  check_int "crc32 \"\"" 0 (Frame.crc32 "")
+
+let prop_crc32_bitwise =
+  QCheck.Test.make ~name:"crc32 = bitwise reference" ~count:500
+    QCheck.(string_gen Gen.char)
+    (fun s -> Frame.crc32 s = crc32_bitwise s)
+
 (* --- Codec ---------------------------------------------------------------- *)
 
 let sample_ops =
@@ -898,17 +921,18 @@ let prop_intern_stable_across_recovery =
 
 (* --- trusted replay and bulk ingest ---------------------------------------- *)
 
-let test_ingest_modes () =
-  (* the same three-record tail recovered through each batching regime of
-     the trusted path lands on the same state as checked replay *)
+let test_trusted_equals_checked () =
+  (* the same three-record tail recovered through the trusted path (fold
+     into the checkpoint instance, one session build) and the checked
+     path (re-admission per record) lands on the same state *)
+  let fs, st = fresh_store () in
+  let _ = get_apply "t1" (Store.apply st txn1) in
+  let _ = get_apply "t2" (Store.apply st txn2) in
+  let _ = get_apply "t3" (Store.apply st txn3) in
   List.iter
-    (fun (label, ingest) ->
-      let fs, st = fresh_store () in
-      let _ = get_apply "t1" (Store.apply st txn1) in
-      let _ = get_apply "t2" (Store.apply st txn2) in
-      let _ = get_apply "t3" (Store.apply st txn3) in
+    (fun (label, trusted) ->
       let st', report =
-        get_store label (Store.open_ ~trusted:true ~ingest (Io.mem fs))
+        get_store label (Store.open_ ~trusted (Io.mem (Io.copy_fs fs)))
       in
       check (label ^ ": clean") true (report.Store.tail = Store.Clean);
       check_int (label ^ ": lsn") 3 (Store.lsn st');
@@ -919,12 +943,78 @@ let test_ingest_modes () =
       let _ = get_apply (label ^ ": t4") (Store.apply st' txn4) in
       check_state (label ^ ": after append") st'
         (after [ txn1; txn2; txn3; txn4 ]))
-    [ ("batch", `Batch); ("incremental", `Incremental); ("auto", `Auto) ]
+    [ ("trusted", true); ("checked", false) ]
+
+let test_replayed_count_as_applied () =
+  (* two records folded into a delta segment, one left in the log: all
+     three were applied, whichever engine recovers them *)
+  let fs, st = fresh_store () in
+  let _ = get_apply "t1" (Store.apply st txn1) in
+  let _ = get_apply "t2" (Store.apply st txn2) in
+  Store.checkpoint st;
+  let _ = get_apply "t3" (Store.apply st txn3) in
+  check_int "applied before reopen" 3 (Store.stats st).Checkpoint.applied;
+  List.iter
+    (fun trusted ->
+      let st', _ =
+        get_store "reopen" (Store.open_ ~trusted (Io.mem (Io.copy_fs fs)))
+      in
+      check_int
+        (Printf.sprintf "applied after reopen (trusted %b)" trusted)
+        3 (Store.stats st').Checkpoint.applied)
+    [ true; false ]
 
 let orgunit_entry ~id ~ou =
   Entry.make ~id ~rdn:("ou=" ^ ou)
     ~classes:(Oclass.set_of_list [ "orgunit"; "orggroup"; "top" ])
     [ (a "ou", Value.String ou) ]
+
+(* Open a copy of [fs] both ways; the trusted open, whose admission scan
+   fails on the recovered state, must end exactly where the checked
+   replay does: same error, or same report, lsn, stats and instance. *)
+let check_fallback what fs =
+  let open_copy trusted = Store.open_ ~trusted (Io.mem (Io.copy_fs fs)) in
+  match (open_copy true, open_copy false) with
+  | Error e, Error e' ->
+      check (what ^ ": same error") true (e = e')
+  | Ok (st, r), Ok (st', r') ->
+      check (what ^ ": same report") true (r = r');
+      check_int (what ^ ": same lsn") (Store.lsn st') (Store.lsn st);
+      check (what ^ ": same stats") true (Store.stats st = Store.stats st');
+      check (what ^ ": same instance") true
+        (Instance.equal
+           (Directory.instance (Store.directory st))
+           (Directory.instance (Store.directory st')))
+  | _ -> Alcotest.failf "%s: trusted and checked open disagree" what
+
+let test_failed_scan_falls_back () =
+  (* an illegal checkpoint, committed by a trusted load *)
+  let fs, st = fresh_store () in
+  (match
+     Store.load ~trust:true st (fun add ->
+         add ~parent:(Some 0) (orgunit_entry ~id:400 ~ou:"ghost"))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "trusted load: %s" (Store.error_to_string e));
+  (match Store.open_ (Io.mem (Io.copy_fs fs)) with
+  | Error (Store.Illegal _) -> ()
+  | _ -> Alcotest.fail "illegal checkpoint opened");
+  check_fallback "illegal checkpoint" fs;
+  (* a legal checkpoint whose log holds a record admission would reject,
+     followed by a legal one: the log is cut at the illegal record *)
+  let fs, st = fresh_store () in
+  let _ = get_apply "t1" (Store.apply st txn1) in
+  let io = Io.mem fs in
+  let ghost =
+    [ Update.Insert { parent = Some 0; entry = orgunit_entry ~id:401 ~ou:"ghost" } ]
+  in
+  ignore (Wal.append io Store.wal_file ~lsn:2 ghost);
+  ignore (Wal.append io Store.wal_file ~lsn:3 txn2);
+  (match Store.open_ (Io.mem (Io.copy_fs fs)) with
+  | Ok (st', { Store.tail = Store.Recovered_at _; _ }) ->
+      check_int "cut before the illegal record" 1 (Store.lsn st')
+  | _ -> Alcotest.fail "illegal log record was not cut");
+  check_fallback "illegal log record" fs
 
 let test_bulk_load () =
   let fs, st = fresh_store () in
@@ -1004,6 +1094,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "torn and flipped" `Quick test_frame_torn;
+          Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+          QCheck_alcotest.to_alcotest prop_crc32_bitwise;
         ] );
       ( "codec",
         [
@@ -1043,7 +1135,12 @@ let () =
         ] );
       ( "ingest",
         [
-          Alcotest.test_case "ingest modes" `Quick test_ingest_modes;
+          Alcotest.test_case "trusted = checked replay" `Quick
+            test_trusted_equals_checked;
+          Alcotest.test_case "replayed count as applied" `Quick
+            test_replayed_count_as_applied;
+          Alcotest.test_case "failed scan = checked replay" `Quick
+            test_failed_scan_falls_back;
           Alcotest.test_case "bulk load" `Quick test_bulk_load;
         ] );
       ( "recovery",
